@@ -4,7 +4,7 @@
 //! "services … specified as XML strings" (§4.1). This module runs a
 //! VMShop (with its full simulated site behind it) inside a dedicated
 //! thread, listening on a localhost TCP socket and speaking the
-//! [`vmplants_shop::messages`] XML protocol with length-prefixed frames.
+//! [`vmplants_plant::protocol`] XML protocol with length-prefixed frames.
 //!
 //! The substrate clock stays *virtual*: a Create request returns as fast
 //! as the event loop can drain, but the returned classad's `create_s`
@@ -17,9 +17,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 
 use vmplants_classad::ClassAd;
-use vmplants_plant::{PlantError, ProductionOrder, VmId};
+use vmplants_plant::{ErrorCode, PlantError, ProductionOrder, Request, Response, VmId};
 use vmplants_shop::bidding::collect_bids;
-use vmplants_shop::messages::{ErrorCode, Request, Response};
 use vmplants_shop::ShopError;
 
 use crate::site::{SimSite, SiteConfig};
@@ -65,9 +64,6 @@ fn shop_error_response(e: &ShopError) -> Response {
         ShopError::DeadlineExceeded(_) => ErrorCode::DeadlineExceeded,
         ShopError::Degraded { .. } => ErrorCode::Degraded,
         ShopError::ShopDown => ErrorCode::Unresponsive,
-        // A journal-replayed error lost its structured form; the
-        // rendered message still carries the original class.
-        ShopError::Journaled(_) => ErrorCode::Unknown,
     };
     Response::Error {
         code,

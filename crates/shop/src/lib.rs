@@ -17,8 +17,6 @@
 //!   facilitating service restoration in the presence of failures.
 //!   VMShop may, however, cache classad information … to speed up
 //!   queries";
-//! * [`messages`] — the XML request/response encoding of the service
-//!   protocol;
 //! * [`shop`] — the [`VmShop`] service itself, with plant-failure
 //!   handling (re-bid on creation, cache rebuild after restart);
 //! * [`journal`] — the durable write-ahead order journal that lets a
@@ -31,13 +29,12 @@ pub mod bidding;
 pub mod cache;
 pub mod client;
 pub mod journal;
-pub mod messages;
 pub mod registry;
 pub mod shop;
 
 pub use bidding::{Bid, VmBroker};
 pub use cache::{ClassAdCache, ExprCache};
 pub use client::{ClientRequestLog, ClientTuning, ShopClient};
-pub use journal::{Journal, JournalOutcome, JournalRecord, OrderState};
+pub use journal::{Journal, JournalOutcome, JournalRecord, OrderStage, OrderState};
 pub use registry::Registry;
 pub use shop::{RecoveryStats, ShopDone, ShopError, ShopRequestLog, ShopTuning, VmShop};

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use vmplants_classad::{parse_classad, AdTable, ClassAd};
+use vmplants_classad::{AdTable, ClassAd};
 use vmplants_cluster::files::StoreError;
 use vmplants_plant::{
     Envelope, Payload, Plant, PlantError, ProductionOrder, ReplyFn, Request, Response, VmId,
@@ -15,7 +15,7 @@ use vmplants_virt::{VirtError, VmState};
 
 use crate::bidding::{collect_bids, select_bid, VmBroker};
 use crate::cache::{ClassAdCache, ExprCache};
-use crate::journal::{Journal, JournalOutcome, JournalRecord};
+use crate::journal::{Journal, JournalOutcome, JournalRecord, OrderStage, OrderState};
 use crate::registry::Registry;
 
 /// Failures surfaced by the shop.
@@ -47,9 +47,6 @@ pub enum ShopError {
     /// restarted) — the connection-refused analog. Clients treat this
     /// as retryable and resubmit across incarnations.
     ShopDown,
-    /// A terminal failure replayed verbatim from the order journal by
-    /// a later shop incarnation; carries the original rendered error.
-    Journaled(String),
 }
 
 impl std::fmt::Display for ShopError {
@@ -71,9 +68,6 @@ impl std::fmt::Display for ShopError {
             ShopError::Plant(e) => write!(f, "plant error: {e}"),
             ShopError::UnknownVm(id) => write!(f, "unknown VM '{id}'"),
             ShopError::ShopDown => write!(f, "shop is down"),
-            // Verbatim: the journaled text *is* the original rendering,
-            // so replayed failures keep their error class.
-            ShopError::Journaled(msg) => f.write_str(msg),
         }
     }
 }
@@ -556,7 +550,7 @@ impl VmShop {
     /// Panics when the shop is still alive — recovery without a crash
     /// would silently fork the incarnation bookkeeping.
     pub fn recover(&self, engine: &mut Engine) -> RecoveryStats {
-        let (epoch, span, unsettled, settled) = {
+        let (epoch, span, unsettled) = {
             let mut state = self.inner.borrow_mut();
             assert!(!state.alive, "recover() without a preceding crash()");
             state.alive = true;
@@ -566,16 +560,10 @@ impl VmShop {
                 .obs
                 .span_start(SpanId::NONE, state.obs_track, "recovery", engine.now());
             state.obs.span_attr(span, "incarnation", state.epoch);
-            (
-                state.epoch,
-                span,
-                state.journal.unsettled(),
-                state.journal.settled(),
-            )
+            (state.epoch, span, state.journal.unsettled())
         };
         let mut stats = RecoveryStats {
             incarnation: epoch,
-            settled: settled.len(),
             ..RecoveryStats::default()
         };
         // Settled orders: restore published classads into the soft
@@ -585,11 +573,11 @@ impl VmShop {
         {
             let now = engine.now();
             let mut state = self.inner.borrow_mut();
-            for (vm_id, order) in &settled {
-                if let Some(JournalOutcome::Published { plant, ad }) = &order.outcome {
-                    if let Ok(ad) = parse_classad(ad) {
-                        state.cache.put(vm_id.clone(), ad, plant.clone(), now);
-                    }
+            let state = &mut *state;
+            for (vm_id, outcome) in state.journal.settled() {
+                stats.settled += 1;
+                if let JournalOutcome::Published { plant, ad } = outcome {
+                    state.cache.put(vm_id.clone(), ad.clone(), plant.clone(), now);
                 }
             }
         }
@@ -620,26 +608,14 @@ impl VmShop {
         epoch: u64,
         plants: &[Plant],
         vm_id: VmId,
-        journaled: crate::journal::OrderState,
+        journaled: OrderState,
         stats: &mut RecoveryStats,
     ) {
         let now = engine.now();
-        let order = match Request::from_wire(&journaled.order_wire) {
-            Ok(Request::Create(order)) => order,
-            _ => {
-                // An unreadable record cannot be recovered; settle it as
-                // failed so resubmissions get a terminal answer.
-                let mut state = self.inner.borrow_mut();
-                let record = JournalRecord::Failed {
-                    vm_id: vm_id.clone(),
-                    error: format!("unrecoverable order '{vm_id}': corrupt journal record"),
-                    at: now,
-                };
-                state.journal.push(record);
-                state.journal_records.inc();
-                return;
-            }
+        let OrderStage::Open(order) = journaled.stage else {
+            unreachable!("Journal::unsettled yields open orders only");
         };
+        let mut order = *order;
         // Reconciliation probe: does any live plant know this VMID?
         let mut running_on: Option<Plant> = None;
         let mut producing_on: Option<Plant> = None;
@@ -666,7 +642,7 @@ impl VmShop {
                     let record = JournalRecord::Published {
                         vm_id: vm_id.clone(),
                         plant: plant.name(),
-                        ad: ad.to_string(),
+                        ad,
                         at: now,
                     };
                     state.journal.push(record);
@@ -703,7 +679,6 @@ impl VmShop {
         if let Some(plant) = producing_on {
             if let Some(attempt) = last_attempt_for(&plant.name()) {
                 let span = self.recovered_order_span(engine, &vm_id, "resumed");
-                let mut order = order;
                 order.trace_parent = span;
                 self.register_recovered(&journaled.key, &vm_id);
                 stats.resumed += 1;
@@ -737,7 +712,6 @@ impl VmShop {
             .max()
             .unwrap_or(0);
         let span = self.recovered_order_span(engine, &vm_id, "restarted");
-        let mut order = order;
         order.trace_parent = span;
         self.register_recovered(&journaled.key, &vm_id);
         stats.restarted += 1;
@@ -968,7 +942,7 @@ impl VmShop {
                 let record = JournalRecord::Received {
                     key: format!("order:{vm_id}"),
                     vm_id: vm_id.clone(),
-                    order_wire: Request::Create(order.clone()).to_wire(),
+                    order: Box::new(order.clone()),
                     at: requested_at,
                 };
                 state.journal.push(record);
@@ -1050,11 +1024,8 @@ impl VmShop {
         // outcome without re-executing anything.
         if let Some(outcome) = state.journal.outcome_for_key(&key) {
             let result = match outcome {
-                JournalOutcome::Published { ad, .. } => match parse_classad(ad) {
-                    Ok(ad) => Ok(ad),
-                    Err(e) => Err(ShopError::Journaled(format!("corrupt journaled classad: {e}"))),
-                },
-                JournalOutcome::Failed { error } => Err(ShopError::Journaled(error.clone())),
+                JournalOutcome::Published { ad, .. } => Ok(ad.clone()),
+                JournalOutcome::Failed { error } => Err(error.clone()),
             };
             drop(state);
             let outbound = self.sample_hop();
@@ -1082,7 +1053,7 @@ impl VmShop {
             let record = JournalRecord::Received {
                 key: key.clone(),
                 vm_id: vm_id.clone(),
-                order_wire: Request::Create(order.clone()).to_wire(),
+                order: Box::new(order.clone()),
                 at: requested_at,
             };
             state.journal.push(record);
@@ -1388,12 +1359,12 @@ impl VmShop {
                     Ok(ad) => JournalRecord::Published {
                         vm_id: vm_id.clone(),
                         plant: plant.clone().unwrap_or_default(),
-                        ad: ad.to_string(),
+                        ad: ad.clone(),
                         at: engine.now(),
                     },
                     Err(e) => JournalRecord::Failed {
                         vm_id: vm_id.clone(),
-                        error: e.to_string(),
+                        error: e.clone(),
                         at: engine.now(),
                     },
                 };

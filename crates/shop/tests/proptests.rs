@@ -8,8 +8,7 @@
 
 use proptest::prelude::*;
 use vmplants_dag::{Action, ActionKind, ConfigDag};
-use vmplants_plant::{ProductionOrder, VmId};
-use vmplants_shop::messages::{ErrorCode, Request, Response};
+use vmplants_plant::{ErrorCode, ProductionOrder, Request, Response, VmId};
 use vmplants_simkit::SimRng;
 use vmplants_virt::{VmSpec, VmmType};
 use vmplants_vnet::ProxyEndpoint;

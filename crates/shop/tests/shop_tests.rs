@@ -762,6 +762,29 @@ fn shop_crash_post_publish_replays_from_the_journal_without_a_second_vm() {
 }
 
 #[test]
+fn shop_crash_post_failure_replays_the_typed_error_from_the_journal() {
+    let mut s = site_with(2, CostModel::FreeMemoryPrototype);
+    let unsatisfiable = || order(64).with_requirements("freememory > 999999");
+    let out = submit_keyed(&mut s, "order:c:0", unsatisfiable());
+    s.engine.run();
+    let first = out.borrow().clone().unwrap().unwrap_err();
+    assert_eq!(first, ShopError::AllPlantsExcluded);
+
+    s.shop.crash(&mut s.engine);
+    let stats = s.shop.recover(&mut s.engine);
+    assert_eq!(stats.settled, 1, "{stats:?}");
+    assert_eq!(stats.adopted + stats.resumed + stats.restarted, 0, "{stats:?}");
+
+    // The resubmission gets the original typed error back, not a
+    // rendering of it.
+    let replay = submit_keyed(&mut s, "order:c:0", unsatisfiable());
+    s.engine.run();
+    let replayed = replay.borrow().clone().unwrap().unwrap_err();
+    assert_eq!(replayed, first);
+    assert_eq!(total_vms(&s), 0);
+}
+
+#[test]
 fn vm_finished_during_downtime_is_adopted_not_reexecuted() {
     let mut s = site_with(2, CostModel::FreeMemoryPrototype);
     let client = ShopClient::new("c", s.shop.clone());

@@ -10,8 +10,7 @@
 use vmplants::live::{LiveShop, ShopClient};
 use vmplants::SiteConfig;
 use vmplants_dag::graph::invigo_workspace_dag;
-use vmplants_plant::{ProductionOrder, VmId};
-use vmplants_shop::messages::Request;
+use vmplants_plant::{ProductionOrder, Request, VmId};
 use vmplants_virt::VmSpec;
 
 fn main() {

@@ -68,7 +68,7 @@ fn multiple_clients_share_one_shop() {
 fn malformed_requests_get_structured_errors() {
     use std::net::TcpStream;
     use vmplants::live::{read_frame, write_frame};
-    use vmplants_shop::messages::Response;
+    use vmplants_plant::Response;
 
     let shop = LiveShop::start(SiteConfig::default()).unwrap();
     let mut stream = TcpStream::connect(shop.addr()).unwrap();
