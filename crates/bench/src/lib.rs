@@ -14,9 +14,10 @@
 //! | `runtime_overhead` | §4.3's quoted run-time overheads (E9) |
 //! | `full_report` | everything above in one text report |
 //!
-//! Criterion micro-benches (`cargo bench`) cover the hot mechanisms:
-//! DAG matching, bidding, classad evaluation, the DES substrate, and
-//! whole creation runs per memory size.
+//! `bench_baseline` measures the hot mechanisms (event kernel, DAG
+//! matchmaking, classad bidding at fleet scale, experiment wall times)
+//! into `BENCH_vmplants.json`; the `vmbench` package at the repository
+//! root measures the order path end to end and per layer.
 
 pub mod check;
 

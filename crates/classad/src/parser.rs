@@ -36,10 +36,16 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest expression nesting the parser accepts: each parenthesis, list,
+/// call argument, conditional branch, prefix operator and chained binary
+/// operator is one level. The parser, the evaluator and `Drop` recurse
+/// once per level, so the bound keeps hostile input from overflowing the
+/// stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a single expression from source text.
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(lex(src)?);
     let e = p.expr()?;
     p.expect_end()?;
     Ok(e)
@@ -48,19 +54,64 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 /// Parse a classad record: `[ name = expr; ... ]`. A trailing semicolon is
 /// optional, matching common classad serializations.
 pub fn parse_classad(src: &str) -> Result<ClassAd, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(lex(src)?);
     let ad = p.classad()?;
     p.expect_end()?;
     Ok(ad)
 }
 
+/// Binary operators from loosest to tightest binding.
+const PRECEDENCE: [&[(Token, BinOp)]; 6] = [
+    &[(Token::Or, BinOp::Or)],
+    &[(Token::And, BinOp::And)],
+    &[
+        (Token::Eq, BinOp::Eq),
+        (Token::Ne, BinOp::Ne),
+        (Token::MetaEq, BinOp::MetaEq),
+        (Token::MetaNe, BinOp::MetaNe),
+    ],
+    &[
+        (Token::Lt, BinOp::Lt),
+        (Token::Le, BinOp::Le),
+        (Token::Gt, BinOp::Gt),
+        (Token::Ge, BinOp::Ge),
+    ],
+    &[(Token::Plus, BinOp::Add), (Token::Minus, BinOp::Sub)],
+    &[
+        (Token::Star, BinOp::Mul),
+        (Token::Slash, BinOp::Div),
+        (Token::Percent, BinOp::Mod),
+    ],
+];
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels entered and not yet left (see [`MAX_DEPTH`]). A
+    /// failed parse is abandoned, so error paths need not leave.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Go one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError::new(format!(
+                "expression nested deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -138,108 +189,51 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.or_expr()?;
-        if self.eat(&Token::Question) {
+        self.enter()?;
+        let cond = self.binary(0)?;
+        let e = if self.eat(&Token::Question) {
             let then_e = self.expr()?;
             self.expect(&Token::Colon)?;
             let else_e = self.expr()?;
-            Ok(Expr::Cond(
-                Box::new(cond),
-                Box::new(then_e),
-                Box::new(else_e),
-            ))
+            Expr::Cond(Box::new(cond), Box::new(then_e), Box::new(else_e))
         } else {
-            Ok(cond)
-        }
+            cond
+        };
+        self.depth -= 1;
+        Ok(e)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&Token::Or) {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
+    /// Binary operators at precedence `level` and tighter: `operand (op
+    /// operand)*`, left-associative, each chained operator one nesting
+    /// level deeper.
+    fn binary(&mut self, level: usize) -> Result<Expr, ParseError> {
+        let Some(ops) = PRECEDENCE.get(level) else {
+            return self.unary_expr();
+        };
+        let base = self.depth;
+        let mut lhs = self.binary(level + 1)?;
+        while let Some(&(_, op)) = ops.iter().find(|(tok, _)| self.peek() == Some(tok)) {
+            self.pos += 1;
+            self.enter()?;
+            let rhs = self.binary(level + 1)?;
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = base;
         Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.eat(&Token::And) {
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.rel_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Eq) => BinOp::Eq,
-                Some(Token::Ne) => BinOp::Ne,
-                Some(Token::MetaEq) => BinOp::MetaEq,
-                Some(Token::MetaNe) => BinOp::MetaNe,
-                _ => return Ok(lhs),
-            };
-            self.pos += 1;
-            let rhs = self.rel_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-    }
-
-    fn rel_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.add_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Lt) => BinOp::Lt,
-                Some(Token::Le) => BinOp::Le,
-                Some(Token::Gt) => BinOp::Gt,
-                Some(Token::Ge) => BinOp::Ge,
-                _ => return Ok(lhs),
-            };
-            self.pos += 1;
-            let rhs = self.add_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BinOp::Add,
-                Some(Token::Minus) => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.pos += 1;
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => BinOp::Mul,
-                Some(Token::Slash) => BinOp::Div,
-                Some(Token::Percent) => BinOp::Mod,
-                _ => return Ok(lhs),
-            };
-            self.pos += 1;
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&Token::Not) {
+            self.enter()?;
             let inner = self.unary_expr()?;
+            self.depth -= 1;
             return Ok(Expr::Unary(UnOp::Not, Box::new(inner)));
         }
         if self.eat(&Token::Minus) {
             // Fold negation into numeric literals so "-5" is a literal.
+            self.enter()?;
             let inner = self.unary_expr()?;
+            self.depth -= 1;
             return Ok(match inner {
                 Expr::Lit(Value::Int(i)) => Expr::Lit(Value::Int(-i)),
                 Expr::Lit(Value::Real(r)) => Expr::Lit(Value::Real(-r)),
@@ -427,6 +421,29 @@ mod tests {
         assert!(err.message.contains("trailing"), "{err}");
         let err = parse_classad("[1 = 2]").unwrap_err();
         assert!(err.message.contains("attribute name"), "{err}");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let parens = |depth: usize| format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+        // The whole expression is one level, each parenthesis another.
+        assert_eq!(parse_expr(&parens(MAX_DEPTH - 1)).unwrap(), Expr::lit(1i64));
+        let err = parse_expr(&parens(MAX_DEPTH)).unwrap_err();
+        assert!(err.message.contains("nested deeper than"), "{err}");
+        // Far past the bound: an error, not a stack overflow.
+        for deep in [
+            "(".repeat(200_000),
+            format!("{}1", "!".repeat(200_000)),
+            format!("{}1", "-".repeat(200_000)),
+            "a ? b : ".repeat(200_000) + "c",
+            "a + ".repeat(200_000) + "1",
+            "a && b || ".repeat(200_000) + "c",
+            format!("{{{}", "f(".repeat(200_000)),
+        ] {
+            let err = parse_expr(&deep).unwrap_err();
+            assert!(err.message.contains("nested deeper than"), "{err}");
+            assert!(parse_classad(&format!("[a = {deep}]")).is_err());
+        }
     }
 
     #[test]

@@ -2,38 +2,19 @@
 //!
 //! Mirrors the `find_golden_naive` oracle pattern from the warehouse: the
 //! slow reference implementation stays in the build and every fast path is
-//! checked against it. A seeded LCG drives randomized expressions and ads
-//! — including missing attributes, explicit `undefined` / `error` values,
-//! short-circuit operands, heterogeneous column types, and non-flat
-//! (boxed) rows — so failures replay deterministically from the seed.
-//! `tests/compiled_proptests.rs` is the feature-gated proptest twin.
+//! checked against it. Seeded generators on the property harness drive
+//! randomized expressions and ads — including missing attributes,
+//! explicit `undefined` / `error` values, short-circuit operands,
+//! heterogeneous column types, and non-flat (boxed) rows — so a failure
+//! replays deterministically from the seed it reports.
 
-use vmplants_classad::{compile, fold_consts, AdTable, AttrScope, BinOp, ClassAd, Expr, UnOp, Value};
+use vmplants_classad::{
+    compile, fold_consts, AdTable, AttrScope, BinOp, ClassAd, Expr, UnOp, Value,
+};
+use vmplants_simkit::{prop, SimRng};
 
-/// Deterministic 64-bit LCG (MMIX constants), top bits used.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Lcg {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x1234_5678))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 17
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
+/// Deepest generated expression; a case's size is its depth bound.
+const MAX_DEPTH: usize = 4;
 
 const ATTRS: &[&str] = &[
     "freememory",
@@ -66,31 +47,31 @@ const CALLS: &[&str] = &[
     "noSuchFn",
 ];
 
-fn gen_value(rng: &mut Lcg, depth: u32) -> Value {
-    match rng.below(if depth == 0 { 7 } else { 8 }) {
-        0 => Value::Int(rng.below(41) as i64 - 20),
-        1 => Value::Real((rng.below(81) as f64 - 40.0) / 4.0),
-        2 => Value::Bool(rng.chance(50)),
-        3 => Value::Str(STRINGS[rng.below(STRINGS.len() as u64) as usize].to_owned()),
+fn gen_value(rng: &mut SimRng, depth: usize) -> Value {
+    match rng.index(if depth == 0 { 7 } else { 8 }) {
+        0 => Value::Int(rng.index(41) as i64 - 20),
+        1 => Value::Real((rng.index(81) as f64 - 40.0) / 4.0),
+        2 => Value::Bool(rng.chance(0.5)),
+        3 => Value::Str(STRINGS[rng.index(STRINGS.len())].to_owned()),
         4 => Value::Undefined,
         5 => Value::Err,
-        6 => Value::Int(rng.below(5) as i64), // small ints for %, member
+        6 => Value::Int(rng.index(5) as i64), // small ints for %, member
         _ => Value::List(
-            (0..rng.below(4))
+            (0..rng.index(4))
                 .map(|_| gen_value(rng, depth - 1))
                 .collect(),
         ),
     }
 }
 
-fn gen_attr(rng: &mut Lcg) -> Expr {
-    let name = ATTRS[rng.below(ATTRS.len() as u64) as usize];
-    let name = if rng.chance(20) {
+fn gen_attr(rng: &mut SimRng) -> Expr {
+    let name = ATTRS[rng.index(ATTRS.len())];
+    let name = if rng.chance(0.2) {
         name.to_ascii_uppercase()
     } else {
         name.to_owned()
     };
-    let scope = match rng.below(10) {
+    let scope = match rng.index(10) {
         0 => AttrScope::My,
         1 => AttrScope::Other,
         _ => AttrScope::Current,
@@ -98,17 +79,21 @@ fn gen_attr(rng: &mut Lcg) -> Expr {
     Expr::Attr(scope, name)
 }
 
-fn gen_expr(rng: &mut Lcg, depth: u32) -> Expr {
-    if depth == 0 || rng.chance(25) {
-        return if rng.chance(45) {
+fn gen_expr(rng: &mut SimRng, depth: usize) -> Expr {
+    if depth == 0 || rng.chance(0.25) {
+        return if rng.chance(0.45) {
             Expr::Lit(gen_value(rng, 1))
         } else {
             gen_attr(rng)
         };
     }
-    match rng.below(10) {
+    match rng.index(10) {
         0 => Expr::Unary(
-            if rng.chance(50) { UnOp::Not } else { UnOp::Neg },
+            if rng.chance(0.5) {
+                UnOp::Not
+            } else {
+                UnOp::Neg
+            },
             Box::new(gen_expr(rng, depth - 1)),
         ),
         1 => Expr::Cond(
@@ -117,25 +102,25 @@ fn gen_expr(rng: &mut Lcg, depth: u32) -> Expr {
             Box::new(gen_expr(rng, depth - 1)),
         ),
         2 => Expr::List(
-            (0..rng.below(4))
+            (0..rng.index(4))
                 .map(|_| gen_expr(rng, depth - 1))
                 .collect(),
         ),
         3 => {
-            let name = CALLS[rng.below(CALLS.len() as u64) as usize];
+            let name = CALLS[rng.index(CALLS.len())];
             let args = match name {
                 "member" => vec![
                     gen_expr(rng, depth - 1),
                     Expr::List(
-                        (0..rng.below(4))
+                        (0..rng.index(4))
                             .map(|_| gen_expr(rng, depth - 1))
                             .collect(),
                     ),
                 ],
-                "strcat" => (0..rng.below(4))
+                "strcat" => (0..rng.index(4))
                     .map(|_| gen_expr(rng, depth - 1))
                     .collect(),
-                _ => (0..1 + rng.below(2))
+                _ => (0..1 + rng.index(2))
                     .map(|_| gen_expr(rng, depth - 1))
                     .collect(),
             };
@@ -160,7 +145,7 @@ fn gen_expr(rng: &mut Lcg, depth: u32) -> Expr {
                 BinOp::Mod,
             ];
             Expr::Binary(
-                OPS[rng.below(OPS.len() as u64) as usize],
+                OPS[rng.index(OPS.len())],
                 Box::new(gen_expr(rng, depth - 1)),
                 Box::new(gen_expr(rng, depth - 1)),
             )
@@ -170,10 +155,10 @@ fn gen_expr(rng: &mut Lcg, depth: u32) -> Expr {
 
 /// A random flat ad: a subset of the attribute pool bound to literals,
 /// including explicit sentinel and list values.
-fn gen_flat_ad(rng: &mut Lcg) -> ClassAd {
+fn gen_flat_ad(rng: &mut SimRng) -> ClassAd {
     let mut ad = ClassAd::new();
     for name in ATTRS {
-        if rng.chance(60) {
+        if rng.chance(0.6) {
             ad.set_value(*name, gen_value(rng, 1));
         }
     }
@@ -182,10 +167,10 @@ fn gen_flat_ad(rng: &mut Lcg) -> ClassAd {
 
 /// A non-flat ad: literal bindings plus a computed attribute (and,
 /// occasionally, a reference cycle) so the table must box the row.
-fn gen_boxed_ad(rng: &mut Lcg) -> ClassAd {
+fn gen_boxed_ad(rng: &mut SimRng) -> ClassAd {
     let mut ad = gen_flat_ad(rng);
     ad.set("derived", gen_expr(rng, 2));
-    if rng.chance(10) {
+    if rng.chance(0.1) {
         ad.set("loop_a", Expr::attr("loop_b"));
         ad.set("loop_b", Expr::attr("loop_a"));
     }
@@ -204,104 +189,140 @@ fn values_equal(a: &Value, b: &Value) -> bool {
     }
 }
 
+/// A flat ad paired with every generated expression: `(expr, ads)`.
+fn expr_and_ads(rng: &mut SimRng, depth: usize) -> (Expr, Vec<ClassAd>) {
+    let expr = gen_expr(rng, depth);
+    (expr, (0..3).map(|_| gen_flat_ad(rng)).collect())
+}
+
 #[test]
 fn compiled_eval_matches_tree_walk_on_random_inputs() {
-    let mut rng = Lcg::new(2004);
-    for case in 0..3000 {
-        let expr = gen_expr(&mut rng, 4);
-        let prog = compile(&expr);
-        let folded = fold_consts(&expr);
-        for _ in 0..3 {
-            let ad = gen_flat_ad(&mut rng);
-            let oracle = expr.eval_solo(&ad);
-            let compiled = prog.eval_solo(&ad);
-            assert!(
-                values_equal(&compiled, &oracle),
-                "case {case}: compiled {compiled:?} != oracle {oracle:?}\n  expr: {expr}\n  ad: {ad}"
-            );
-            let refolded = folded.eval_solo(&ad);
-            assert!(
-                values_equal(&refolded, &oracle),
-                "case {case}: folded {refolded:?} != oracle {oracle:?}\n  expr: {expr}\n  folded: {folded}\n  ad: {ad}"
-            );
-        }
-    }
+    prop::check(
+        "compiled_matches_tree_walk",
+        3000,
+        MAX_DEPTH,
+        expr_and_ads,
+        |(expr, ads)| {
+            let prog = compile(expr);
+            for ad in ads {
+                let oracle = expr.eval_solo(ad);
+                let compiled = prog.eval_solo(ad);
+                assert!(
+                    values_equal(&compiled, &oracle),
+                    "compiled {compiled:?} != oracle {oracle:?}\n  expr: {expr}\n  ad: {ad}"
+                );
+            }
+        },
+    );
+}
+
+#[test]
+fn folding_preserves_semantics() {
+    prop::check(
+        "folding_preserves_semantics",
+        3000,
+        MAX_DEPTH,
+        expr_and_ads,
+        |(expr, ads)| {
+            let folded = fold_consts(expr);
+            for ad in ads {
+                let oracle = expr.eval_solo(ad);
+                let refolded = folded.eval_solo(ad);
+                assert!(
+                    values_equal(&refolded, &oracle),
+                    "folded {refolded:?} != oracle {oracle:?}\n  expr: {expr}\n  folded: {folded}\n  ad: {ad}"
+                );
+            }
+        },
+    );
 }
 
 #[test]
 fn compiled_eval_matches_tree_walk_on_boxed_ads() {
-    let mut rng = Lcg::new(77);
-    for case in 0..500 {
-        let expr = gen_expr(&mut rng, 3);
-        let prog = compile(&expr);
-        let ad = gen_boxed_ad(&mut rng);
-        let oracle = expr.eval_solo(&ad);
-        let compiled = prog.eval_solo(&ad);
-        assert!(
-            values_equal(&compiled, &oracle),
-            "case {case}: compiled {compiled:?} != oracle {oracle:?}\n  expr: {expr}\n  ad: {ad}"
-        );
-    }
+    prop::check(
+        "compiled_matches_tree_walk_on_boxed_ads",
+        500,
+        3,
+        |rng, depth| (gen_expr(rng, depth), gen_boxed_ad(rng)),
+        |(expr, ad)| {
+            let oracle = expr.eval_solo(ad);
+            let compiled = compile(expr).eval_solo(ad);
+            assert!(
+                values_equal(&compiled, &oracle),
+                "compiled {compiled:?} != oracle {oracle:?}\n  expr: {expr}\n  ad: {ad}"
+            );
+        },
+    );
 }
 
+/// A case's size is the number of table rows; one row in ten is boxed.
 #[test]
 fn batch_eval_matches_per_row_tree_walk() {
-    let mut rng = Lcg::new(42);
-    let ads: Vec<ClassAd> = (0..400)
-        .map(|_| {
-            if rng.chance(10) {
-                gen_boxed_ad(&mut rng)
-            } else {
-                gen_flat_ad(&mut rng)
+    prop::check(
+        "batch_matches_per_row",
+        256,
+        400,
+        |rng, rows| {
+            let expr = gen_expr(rng, MAX_DEPTH);
+            let ads: Vec<ClassAd> = (0..rows)
+                .map(|_| {
+                    if rng.chance(0.1) {
+                        gen_boxed_ad(rng)
+                    } else {
+                        gen_flat_ad(rng)
+                    }
+                })
+                .collect();
+            (expr, ads)
+        },
+        |(expr, ads)| {
+            let prog = compile(expr);
+            let mut table = AdTable::new();
+            for ad in ads {
+                table.push(ad);
             }
-        })
-        .collect();
-    let mut table = AdTable::new();
-    for ad in &ads {
-        table.push(ad);
-    }
-    for case in 0..150 {
-        let expr = gen_expr(&mut rng, 4);
-        let prog = compile(&expr);
-        let hits = table.eval_batch(&prog);
-        for (row, ad) in ads.iter().enumerate() {
-            let oracle = expr.eval_solo(ad).is_true();
-            assert_eq!(
-                hits.contains(row),
-                oracle,
-                "case {case} row {row}: batch {} != oracle {oracle}\n  expr: {expr}\n  ad: {ad}",
-                hits.contains(row),
-            );
-        }
-    }
+            let hits = table.eval_batch(&prog);
+            for (row, ad) in ads.iter().enumerate() {
+                let oracle = expr.eval_solo(ad).is_true();
+                assert_eq!(
+                    hits.contains(row),
+                    oracle,
+                    "row {row}: batch {} != oracle {oracle}\n  expr: {expr}\n  ad: {ad}",
+                    hits.contains(row),
+                );
+            }
+        },
+    );
 }
 
 #[test]
 fn short_circuit_operands_never_leak_rhs_sentinels() {
     // Purpose-built operands where the rhs is an error the short-circuit
     // must skip — plus the non-short-circuit cases where it must not.
-    let mut rng = Lcg::new(7);
-    for _ in 0..300 {
-        let guard = gen_expr(&mut rng, 2);
-        let poison = Expr::Binary(
-            BinOp::Eq,
-            Box::new(Expr::Binary(
-                BinOp::Div,
-                Box::new(Expr::lit(1i64)),
-                Box::new(Expr::lit(0i64)),
-            )),
+    let poison = Expr::Binary(
+        BinOp::Eq,
+        Box::new(Expr::Binary(
+            BinOp::Div,
             Box::new(Expr::lit(1i64)),
-        );
-        for op in [BinOp::And, BinOp::Or] {
-            let expr = Expr::Binary(op, Box::new(guard.clone()), Box::new(poison.clone()));
-            let prog = compile(&expr);
-            let ad = gen_flat_ad(&mut rng);
-            let oracle = expr.eval_solo(&ad);
-            let compiled = prog.eval_solo(&ad);
-            assert!(
-                values_equal(&compiled, &oracle),
-                "compiled {compiled:?} != oracle {oracle:?}\n  expr: {expr}\n  ad: {ad}"
-            );
-        }
-    }
+            Box::new(Expr::lit(0i64)),
+        )),
+        Box::new(Expr::lit(1i64)),
+    );
+    prop::check(
+        "short_circuit_operands_never_leak_rhs_sentinels",
+        300,
+        2,
+        |rng, depth| (gen_expr(rng, depth), gen_flat_ad(rng), gen_flat_ad(rng)),
+        |(guard, and_ad, or_ad)| {
+            for (op, ad) in [(BinOp::And, and_ad), (BinOp::Or, or_ad)] {
+                let expr = Expr::Binary(op, Box::new(guard.clone()), Box::new(poison.clone()));
+                let oracle = expr.eval_solo(ad);
+                let compiled = compile(&expr).eval_solo(ad);
+                assert!(
+                    values_equal(&compiled, &oracle),
+                    "compiled {compiled:?} != oracle {oracle:?}\n  expr: {expr}\n  ad: {ad}"
+                );
+            }
+        },
+    );
 }

@@ -161,7 +161,7 @@ impl MatchReport {
 ///
 /// On success, returns which DAG nodes the image covers and the residual
 /// configuration schedule. On failure, reports the *first* violated
-/// criterion in the paper's order (Subset, then Prefix, then Partial
+/// test in the paper's order (Subset, then Prefix, then Partial
 /// Order).
 pub fn match_image(dag: &ConfigDag, performed: &PerformedLog) -> Result<MatchReport, MatchFailure> {
     // Build signature -> label maps, rejecting ambiguity.

@@ -1,8 +1,3 @@
-// Gated: requires the `proptest` dev-dependency, unavailable in
-// network-restricted builds. Enable with `--features proptests` after
-// restoring the dependency.
-#![cfg(feature = "proptests")]
-
 //! Property test: under arbitrary interleavings of create / collect /
 //! crash / revive / prewarm / migrate, the site's resource accounting
 //! stays exactly balanced — no leaked host memory, IP addresses, host-only
@@ -11,7 +6,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use proptest::prelude::*;
 use vmplants_classad::ClassAd;
 use vmplants_cluster::host::{Host, HostSpec};
 use vmplants_cluster::nfs::NfsServer;
@@ -19,7 +13,7 @@ use vmplants_dag::graph::experiment_dag;
 use vmplants_plant::{
     migrate, DomainDirectory, Plant, PlantConfig, PlantError, ProductionOrder, VmId,
 };
-use vmplants_simkit::{Engine, SimRng};
+use vmplants_simkit::{prop, Engine, SimRng};
 use vmplants_virt::VmSpec;
 use vmplants_warehouse::store::publish_experiment_goldens;
 use vmplants_warehouse::Warehouse;
@@ -33,17 +27,22 @@ enum Op {
     CrashAndRevive { plant: u8 },
 }
 
-fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            3 => (0u8..3, 0u8..3).prop_map(|(plant, mem_idx)| Op::Create { plant, mem_idx }),
-            2 => Just(Op::CollectOldest),
-            1 => (0u8..3).prop_map(|to| Op::Migrate { to }),
-            1 => (0u8..3).prop_map(|plant| Op::Prewarm { plant }),
-            1 => (0u8..3).prop_map(|plant| Op::CrashAndRevive { plant }),
-        ],
-        0..14,
-    )
+/// Up to `size` operations, weighted create 3 : collect 2 : migrate 1 :
+/// prewarm 1 : crash-and-revive 1.
+fn arb_ops(rng: &mut SimRng, size: usize) -> Vec<Op> {
+    prop::vec(rng, 0, size, |rng| {
+        let plant = rng.index(3) as u8;
+        match rng.index(8) {
+            0..=2 => Op::Create {
+                plant,
+                mem_idx: rng.index(3) as u8,
+            },
+            3 | 4 => Op::CollectOldest,
+            5 => Op::Migrate { to: plant },
+            6 => Op::Prewarm { plant },
+            _ => Op::CrashAndRevive { plant },
+        }
+    })
 }
 
 struct Fixture {
@@ -98,11 +97,8 @@ fn settle<T: 'static>(engine: &mut Engine, out: Rc<RefCell<Option<T>>>) -> T {
 
 impl Fixture {
     fn create(&mut self, plant: usize, mem: u64) {
-        let order = ProductionOrder::new(
-            VmSpec::mandrake(mem),
-            experiment_dag("arijit"),
-            "ufl.edu",
-        );
+        let order =
+            ProductionOrder::new(VmSpec::mandrake(mem), experiment_dag("arijit"), "ufl.edu");
         let out: Rc<RefCell<Option<Result<ClassAd, PlantError>>>> = Rc::new(RefCell::new(None));
         let out2 = Rc::clone(&out);
         self.plants[plant].create(
@@ -115,7 +111,10 @@ impl Fixture {
         match settle(&mut self.engine, out) {
             Ok(ad) => {
                 // A used spare is consumed.
-                if self.spares_made > 0 && self.spare_mem == mem && ad.get_f64("clone_s").unwrap() < 2.0 {
+                if self.spares_made > 0
+                    && self.spare_mem == mem
+                    && ad.get_f64("clone_s").unwrap() < 2.0
+                {
                     self.spares_made -= 1;
                 }
                 self.live
@@ -230,32 +229,36 @@ impl Fixture {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn resource_accounting_is_exact_under_churn(ops in arb_ops(), seed in 0u64..1000) {
-        let mut f = fixture(seed);
-        for op in ops {
-            match op {
-                Op::Create { plant, mem_idx } => {
-                    let mem = [32u64, 64, 256][mem_idx as usize];
-                    f.create(plant as usize, mem);
+#[test]
+fn resource_accounting_is_exact_under_churn() {
+    prop::check(
+        "resource_accounting_is_exact_under_churn",
+        12,
+        13,
+        |rng, size| (arb_ops(rng, size), rng.uniform_u64(0, 999)),
+        |(ops, seed)| {
+            let mut f = fixture(*seed);
+            for op in ops {
+                match *op {
+                    Op::Create { plant, mem_idx } => {
+                        let mem = [32u64, 64, 256][mem_idx as usize];
+                        f.create(plant as usize, mem);
+                    }
+                    Op::CollectOldest => f.collect_oldest(),
+                    Op::Migrate { to } => f.migrate_oldest(to as usize),
+                    Op::Prewarm { plant } => f.prewarm(plant as usize),
+                    Op::CrashAndRevive { plant } => {
+                        f.plants[plant as usize].fail();
+                        f.plants[plant as usize].revive();
+                    }
                 }
-                Op::CollectOldest => f.collect_oldest(),
-                Op::Migrate { to } => f.migrate_oldest(to as usize),
-                Op::Prewarm { plant } => f.prewarm(plant as usize),
-                Op::CrashAndRevive { plant } => {
-                    f.plants[plant as usize].fail();
-                    f.plants[plant as usize].revive();
-                }
+                f.check_invariants();
+            }
+            // Drain: collecting everything returns the site to zero.
+            while !f.live.is_empty() {
+                f.collect_oldest();
             }
             f.check_invariants();
-        }
-        // Drain: collecting everything returns the site to zero.
-        while !f.live.is_empty() {
-            f.collect_oldest();
-        }
-        f.check_invariants();
-    }
+        },
+    );
 }

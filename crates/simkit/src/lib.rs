@@ -36,6 +36,8 @@
 //!   registry (counters, gauges, fixed-bucket histograms), and a
 //!   critical-path analyzer whose phase durations sum exactly to a span's
 //!   end-to-end latency.
+//! * [`prop`] — a seeded property-test harness on [`rng::SimRng`] with a
+//!   halving shrinker; every property test in the workspace runs on it.
 //!
 //! ## Example
 //!
@@ -60,6 +62,7 @@
 pub mod engine;
 pub mod fault;
 pub mod obs;
+pub mod prop;
 pub mod resource;
 pub mod rng;
 pub mod stats;

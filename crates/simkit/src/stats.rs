@@ -825,86 +825,89 @@ mod tests {
         assert!(percentile(&[], 50.0).is_nan());
     }
 
-    /// Deterministic pseudo-random positive samples (no `rand` dependency).
-    fn lcg_samples(seed: u64, n: usize) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+    /// Positive samples spread over ~5 decades: 0.01 .. ~1000.
+    fn spread_samples(rng: &mut crate::SimRng, n: usize) -> Vec<f64> {
         (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                // Spread over ~5 decades: 0.01 .. ~1000.
-                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-                0.01 * (u * 11.5).exp()
-            })
+            .map(|_| 0.01 * rng.uniform(0.0, 11.5).exp())
             .collect()
+    }
+
+    fn sketch_of(data: &[f64]) -> SketchMetric {
+        let mut sketch = SketchMetric::default();
+        for &x in data {
+            sketch.record(x);
+        }
+        sketch
     }
 
     #[test]
     fn sketch_quantiles_within_alpha_of_exact_oracle() {
-        let data = lcg_samples(7, 5000);
-        let mut sketch = SketchMetric::default();
-        for &x in &data {
-            sketch.record(x);
-        }
-        assert_eq!(sketch.count(), 5000);
-        for &q in &[0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            let exact = percentile(&data, q * 100.0);
-            let est = sketch.quantile(q);
-            let rel = (est - exact).abs() / exact;
-            assert!(
-                rel <= sketch.alpha() * 1.0001 + 1e-12,
-                "q={q}: est {est} vs exact {exact} (rel {rel})"
-            );
-        }
-        // min/max are exact.
-        let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(sketch.min(), lo);
-        assert_eq!(sketch.max(), hi);
-        // Mean is within alpha too (reconstructed from representatives).
-        let exact_mean = data.iter().sum::<f64>() / data.len() as f64;
-        assert!((sketch.mean() - exact_mean).abs() / exact_mean <= SKETCH_ALPHA);
+        crate::prop::check(
+            "sketch_quantiles_within_alpha_of_exact_oracle",
+            4,
+            5000,
+            spread_samples,
+            |data| {
+                let sketch = sketch_of(data);
+                assert_eq!(sketch.count(), data.len() as u64);
+                for &q in &[0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                    let exact = percentile(data, q * 100.0);
+                    let est = sketch.quantile(q);
+                    let rel = (est - exact).abs() / exact;
+                    assert!(
+                        rel <= sketch.alpha() * 1.0001 + 1e-12,
+                        "q={q}: est {est} vs exact {exact} (rel {rel})"
+                    );
+                }
+                // min/max are exact.
+                let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
+                let hi = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                assert_eq!(sketch.min(), lo);
+                assert_eq!(sketch.max(), hi);
+                // Mean is within alpha too (reconstructed from representatives).
+                let exact_mean = data.iter().sum::<f64>() / data.len() as f64;
+                assert!((sketch.mean() - exact_mean).abs() / exact_mean <= SKETCH_ALPHA);
+            },
+        );
     }
 
     #[test]
     fn sketch_merge_is_associative_and_commutative() {
-        let data = lcg_samples(21, 3000);
-        let parts: Vec<SketchMetric> = data
-            .chunks(700)
-            .map(|chunk| {
-                let mut s = SketchMetric::default();
-                for &x in chunk {
-                    s.record(x);
+        /// Merge `parts` as a balanced binary tree.
+        fn tree(parts: &[SketchMetric]) -> SketchMetric {
+            if parts.len() == 1 {
+                return parts[0].clone();
+            }
+            let (a, b) = parts.split_at(parts.len() / 2);
+            let mut merged = tree(a);
+            merged.merge(&tree(b));
+            merged
+        }
+        crate::prop::check(
+            "sketch_merge_is_associative_and_commutative",
+            4,
+            3000,
+            spread_samples,
+            |data| {
+                let parts: Vec<SketchMetric> = data
+                    .chunks((data.len() / 5).max(1))
+                    .map(sketch_of)
+                    .collect();
+                // Left fold, right fold, reversed fold, pairwise tree: identical.
+                let mut left = SketchMetric::default();
+                for p in &parts {
+                    left.merge(p);
                 }
-                s
-            })
-            .collect();
-        // Left fold, right fold, reversed fold, pairwise tree: identical.
-        let mut left = SketchMetric::default();
-        for p in &parts {
-            left.merge(p);
-        }
-        let mut right = SketchMetric::default();
-        for p in parts.iter().rev() {
-            right.merge(p);
-        }
-        let mut tree_a = parts[0].clone();
-        tree_a.merge(&parts[1]);
-        let mut tree_b = parts[2].clone();
-        tree_b.merge(&parts[3]);
-        if parts.len() > 4 {
-            tree_b.merge(&parts[4]);
-        }
-        tree_a.merge(&tree_b);
-        assert_eq!(left, right);
-        assert_eq!(left, tree_a);
-        // And equal to recording everything into one sketch directly.
-        let mut pooled = SketchMetric::default();
-        for &x in &data {
-            pooled.record(x);
-        }
-        assert_eq!(left, pooled);
+                let mut right = SketchMetric::default();
+                for p in parts.iter().rev() {
+                    right.merge(p);
+                }
+                assert_eq!(left, right);
+                assert_eq!(left, tree(&parts));
+                // And equal to recording everything into one sketch directly.
+                assert_eq!(left, sketch_of(data));
+            },
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct GoldenImage {
 }
 
 impl GoldenImage {
-    /// The paper's hardware matching criterion (§3.2): "the golden machine
+    /// The paper's hardware matching rule (§3.2): "the golden machine
     /// must match the client machine specification in terms of memory,
     /// disk, the operating system installed". Memory must be equal (the
     /// checkpointed memory state fixes the VM's memory size), the disk

@@ -30,6 +30,11 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// Deepest element nesting [`parse`] accepts, counting the root as 1.
+/// The parser recurses once per level, so the bound keeps a hostile
+/// document from overflowing the stack.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parse a document: optional `<?xml …?>` declaration, comments, exactly one
 /// root element.
 pub fn parse(input: &str) -> Result<Element, XmlError> {
@@ -37,6 +42,7 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
         bytes: input.as_bytes(),
         input,
         pos: 0,
+        depth: 1,
     };
     p.skip_prolog()?;
     let root = p.element()?;
@@ -51,6 +57,8 @@ struct Parser<'a> {
     bytes: &'a [u8],
     input: &'a str,
     pos: usize,
+    /// Nesting level of the element being parsed.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -196,7 +204,15 @@ impl<'a> Parser<'a> {
                         continue;
                     }
                     flush_text(&mut element, &mut text_buf);
+                    if self.depth == MAX_DEPTH {
+                        return Err(XmlError::new(
+                            self.pos,
+                            format!("elements nested deeper than {MAX_DEPTH} levels"),
+                        ));
+                    }
+                    self.depth += 1;
                     let child = self.element()?;
+                    self.depth -= 1;
                     element.children.push(Node::Element(child));
                 }
                 Some(_) => {
@@ -408,5 +424,17 @@ mod tests {
         }
         let root = parse(&doc).unwrap();
         assert_eq!(root.name, "n0");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, 3 * MAX_DEPTH);
+        assert!(err.message.contains("nested deeper than"), "{err}");
+        // Far past the bound: an error, not a stack overflow.
+        assert!(parse(&nested(200_000)).is_err());
+        assert!(parse(&"<a>".repeat(200_000)).is_err());
     }
 }

@@ -150,3 +150,40 @@ fn shop_stops_cleanly_and_drops_stop_too() {
     )
     .is_err());
 }
+
+#[test]
+fn deeply_nested_frames_are_rejected_and_the_shop_keeps_serving() {
+    use std::net::TcpStream;
+    use vmplants::live::{read_frame, write_frame};
+    use vmplants_plant::Response;
+
+    let shop = LiveShop::start(SiteConfig::default()).unwrap();
+    // 200k nested elements: past the XML parser's depth bound.
+    let deep = format!("{}{}", "<a>".repeat(200_000), "</a>".repeat(200_000));
+    let mut stream = TcpStream::connect(shop.addr()).unwrap();
+    write_frame(&mut stream, &deep).unwrap();
+    let reply = read_frame(&mut stream).unwrap();
+    match Response::from_wire(&reply).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, "bad-request");
+            assert!(message.contains("nested deeper than"), "{message}");
+        }
+        other => panic!("expected error, got {other:?}"),
+    }
+
+    // A well-formed order whose requirements nest 200k parentheses deep:
+    // past the classad parser's depth bound.
+    let client = ShopClient::connect(shop.addr());
+    let mut hostile = order("mallory");
+    hostile.requirements = Some("(".repeat(200_000));
+    match client.create(hostile) {
+        Err(ClientError::Service { message, .. }) => {
+            assert!(message.contains("nested deeper than"), "{message}")
+        }
+        other => panic!("expected a service error, got {other:?}"),
+    }
+
+    // The same shop still answers a normal request.
+    assert_eq!(client.estimate(order("alice")).unwrap(), 0.0);
+    shop.stop();
+}

@@ -1,14 +1,13 @@
-//! Scenario grammar and compiler regression tests: seeded-random
-//! round-trip + determinism (the ungated stand-in for the feature-gated
-//! proptests), and pinned-fixture checks for the committed scenario
-//! files under `scenarios/`.
+//! Scenario grammar and compiler regression tests: round-trip and
+//! determinism properties over generated scenarios, and pinned-fixture
+//! checks for the committed scenario files under `scenarios/`.
 
 use vmplants::chaos::run_chaos;
 use vmplants::scenario::shrink::FailureSignature;
 use vmplants::scenario::{
     LinkOverrides, MemoryWeight, RuleDecl, Scenario, TuningOverrides, Workload,
 };
-use vmplants_simkit::{FaultKind, SimDuration, SimRng, SimTime};
+use vmplants_simkit::{prop, FaultKind, SimDuration, SimRng, SimTime};
 
 fn scenario_path(name: &str) -> String {
     format!("{}/../../scenarios/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -23,47 +22,52 @@ fn dur(rng: &mut SimRng, lo_ms: u64, hi_ms: u64) -> SimDuration {
     SimDuration::from_millis(rng.uniform_u64(lo_ms, hi_ms))
 }
 
-/// Generate a random — but always valid — scenario from a seeded RNG.
-/// Durations are whole milliseconds and probabilities raw uniform
-/// doubles, so everything must survive the XML round-trip exactly.
-fn random_scenario(seed: u64) -> Scenario {
-    let mut rng = SimRng::seed_from_u64(seed);
+/// Largest generated scenario: up to this many requests per workload,
+/// half as many workloads and four faults.
+const MAX_SIZE: usize = 6;
+
+/// Generate a random — but always valid — scenario. Durations are whole
+/// milliseconds and probabilities raw uniform doubles, so everything must
+/// survive the XML round-trip exactly.
+fn random_scenario(rng: &mut SimRng, size: usize) -> Scenario {
+    let seed = rng.uniform_u64(0, 9_999);
     let golden = [32u64, 64, 256];
+    let half = (size / 2).max(1) as u64;
 
     let mut workloads = Vec::new();
-    for _ in 0..rng.uniform_u64(1, 3) {
-        let requests = rng.uniform_u64(1, 6) as usize;
+    for _ in 0..rng.uniform_u64(1, half) {
+        let requests = rng.uniform_u64(1, size as u64) as usize;
         let memory_mb = golden[rng.index(3)];
         let w = match rng.index(5) {
             0 => Workload::Constant {
                 requests,
-                interval: dur(&mut rng, 5_000, 60_000),
+                interval: dur(rng, 5_000, 60_000),
                 memory_mb,
             },
             1 => Workload::Diurnal {
                 requests,
-                base_interval: dur(&mut rng, 5_000, 60_000),
+                base_interval: dur(rng, 5_000, 60_000),
                 amplitude: rng.uniform(0.0, 0.95),
-                period: dur(&mut rng, 60_000, 900_000),
+                period: dur(rng, 60_000, 900_000),
                 memory_mb,
             },
             2 => Workload::Flash {
                 requests,
-                interval: dur(&mut rng, 5_000, 60_000),
+                interval: dur(rng, 5_000, 60_000),
                 memory_mb,
-                burst_at: dur(&mut rng, 0, 300_000),
+                burst_at: dur(rng, 0, 300_000),
                 burst_requests: rng.uniform_u64(1, 6) as usize,
-                burst_spacing: dur(&mut rng, 100, 5_000),
+                burst_spacing: dur(rng, 100, 5_000),
             },
             3 => Workload::Zipf {
                 requests,
-                interval: dur(&mut rng, 5_000, 60_000),
+                interval: dur(rng, 5_000, 60_000),
                 population: rng.uniform_u64(1, 64) as u32,
                 exponent: rng.uniform(0.0, 2.0),
             },
             _ => Workload::Mix {
                 requests,
-                interval: dur(&mut rng, 5_000, 60_000),
+                interval: dur(rng, 5_000, 60_000),
                 memories: (0..rng.uniform_u64(1, 3))
                     .map(|_| MemoryWeight {
                         memory_mb: golden[rng.index(3)],
@@ -87,7 +91,7 @@ fn random_scenario(seed: u64) -> Scenario {
         expect: None,
     };
 
-    for _ in 0..rng.uniform_u64(0, 4) {
+    for _ in 0..rng.uniform_u64(0, size.min(4) as u64) {
         let at = SimTime::from_millis(rng.uniform_u64(0, 240_000));
         let host = format!("node{}", rng.index(8));
         let (target, kind) = match rng.index(9) {
@@ -95,54 +99,54 @@ fn random_scenario(seed: u64) -> Scenario {
             1 => (
                 host,
                 FaultKind::HostReboot {
-                    downtime: dur(&mut rng, 1_000, 120_000),
+                    downtime: dur(rng, 1_000, 120_000),
                 },
             ),
             2 => (
                 "storage".to_string(),
                 FaultKind::NfsOutage {
-                    duration: dur(&mut rng, 1_000, 60_000),
+                    duration: dur(rng, 1_000, 60_000),
                 },
             ),
             3 => (
                 "storage".to_string(),
                 FaultKind::NfsDegraded {
                     factor: rng.uniform(0.05, 1.0),
-                    duration: dur(&mut rng, 1_000, 60_000),
+                    duration: dur(rng, 1_000, 60_000),
                 },
             ),
             4 => (
                 "shop".to_string(),
                 FaultKind::MessageLoss {
                     probability: rng.uniform(0.0, 1.0),
-                    duration: dur(&mut rng, 1_000, 600_000),
+                    duration: dur(rng, 1_000, 600_000),
                 },
             ),
             5 => (
                 "shop".to_string(),
                 FaultKind::MessageDuplicate {
                     probability: rng.uniform(0.0, 1.0),
-                    duration: dur(&mut rng, 1_000, 600_000),
+                    duration: dur(rng, 1_000, 600_000),
                 },
             ),
             6 => (
                 "shop".to_string(),
                 FaultKind::MessageReorder {
                     probability: rng.uniform(0.0, 1.0),
-                    duration: dur(&mut rng, 1_000, 600_000),
+                    duration: dur(rng, 1_000, 600_000),
                 },
             ),
             7 => (
                 format!("shop->node{}", rng.index(8)),
                 FaultKind::LinkPartition {
-                    duration: dur(&mut rng, 1_000, 60_000),
+                    duration: dur(rng, 1_000, 60_000),
                 },
             ),
             _ => (
                 "shop".to_string(),
                 FaultKind::ShopCrash {
                     downtime: if rng.chance(0.75) {
-                        Some(dur(&mut rng, 1_000, 120_000))
+                        Some(dur(rng, 1_000, 120_000))
                     } else {
                         None
                     },
@@ -154,13 +158,13 @@ fn random_scenario(seed: u64) -> Scenario {
 
     if rng.chance(0.5) {
         let from = SimTime::from_millis(rng.uniform_u64(0, 60_000));
-        let until = from + dur(&mut rng, 60_000, 600_000);
+        let until = from + dur(rng, 60_000, 600_000);
         scenario = scenario.with_rule(if rng.chance(0.5) {
             RuleDecl::HostFaults {
                 targets: (0..=rng.index(4)).map(|i| format!("node{i}")).collect(),
-                mtbf: dur(&mut rng, 30_000, 300_000),
+                mtbf: dur(rng, 30_000, 300_000),
                 downtime: if rng.chance(0.5) {
-                    Some(dur(&mut rng, 5_000, 120_000))
+                    Some(dur(rng, 5_000, 120_000))
                 } else {
                     None
                 },
@@ -170,8 +174,8 @@ fn random_scenario(seed: u64) -> Scenario {
         } else {
             RuleDecl::NfsOutages {
                 target: "storage".to_string(),
-                mean_gap: dur(&mut rng, 60_000, 600_000),
-                outage: dur(&mut rng, 5_000, 60_000),
+                mean_gap: dur(rng, 60_000, 600_000),
+                outage: dur(rng, 5_000, 60_000),
                 from,
                 until,
             }
@@ -179,7 +183,7 @@ fn random_scenario(seed: u64) -> Scenario {
     }
 
     if rng.chance(0.4) {
-        scenario.tuning.attempt_timeout = Some(dur(&mut rng, 30_000, 600_000));
+        scenario.tuning.attempt_timeout = Some(dur(rng, 30_000, 600_000));
         scenario.tuning.min_live_plants = Some(rng.index(4));
     }
     if rng.chance(0.4) {
@@ -201,14 +205,19 @@ fn random_scenario(seed: u64) -> Scenario {
 /// intact, and its canonical form is a fixpoint.
 #[test]
 fn generated_scenarios_round_trip_through_xml() {
-    for seed in 0..40u64 {
-        let scenario = random_scenario(seed);
-        let xml = scenario.to_xml();
-        let back = Scenario::from_xml(&xml)
-            .unwrap_or_else(|e| panic!("seed {seed}: reparse failed: {e}\n{xml}"));
-        assert_eq!(back, scenario, "seed {seed}: round-trip changed the scenario");
-        assert_eq!(back.to_xml(), xml, "seed {seed}: canonical form not a fixpoint");
-    }
+    prop::check(
+        "scenarios_round_trip_through_xml",
+        40,
+        MAX_SIZE,
+        random_scenario,
+        |scenario| {
+            let xml = scenario.to_xml();
+            let back =
+                Scenario::from_xml(&xml).unwrap_or_else(|e| panic!("reparse failed: {e}\n{xml}"));
+            assert_eq!(&back, scenario, "round-trip changed the scenario");
+            assert_eq!(back.to_xml(), xml, "canonical form not a fixpoint");
+        },
+    );
 }
 
 /// Any generated scenario compiles, runs, and produces a byte-identical
@@ -216,22 +225,25 @@ fn generated_scenarios_round_trip_through_xml() {
 /// again under the same seed — including after an XML round-trip.
 #[test]
 fn generated_scenarios_compile_and_replay_byte_identically() {
-    for seed in 0..12u64 {
-        let scenario = random_scenario(seed);
-        let config = scenario
-            .compile()
-            .unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}"));
-        let first = run_chaos(&config).render_full();
-        let second = run_chaos(&scenario.compile().expect("recompile")).render_full();
-        assert_eq!(first, second, "seed {seed}: same-seed replay diverged");
+    prop::check(
+        "scenarios_round_trip_and_replay_byte_identically",
+        16,
+        MAX_SIZE,
+        random_scenario,
+        |scenario| {
+            let config = scenario
+                .compile()
+                .unwrap_or_else(|e| panic!("compile failed: {e}"));
+            let first = run_chaos(&config).render_full();
+            let second = run_chaos(&scenario.compile().expect("recompile")).render_full();
+            assert_eq!(first, second, "same-seed replay diverged");
 
-        let reparsed = Scenario::from_xml(&scenario.to_xml()).expect("reparse");
-        let third = run_chaos(&reparsed.compile().expect("compile reparsed")).render_full();
-        assert_eq!(
-            first, third,
-            "seed {seed}: XML round-trip changed the simulation"
-        );
-    }
+            let reparsed = Scenario::from_xml(&scenario.to_xml()).expect("reparse");
+            assert_eq!(&reparsed, scenario, "round-trip changed the scenario");
+            let third = run_chaos(&reparsed.compile().expect("compile reparsed")).render_full();
+            assert_eq!(first, third, "XML round-trip changed the simulation");
+        },
+    );
 }
 
 /// The committed transport-storm scenario file compiles to the exact
