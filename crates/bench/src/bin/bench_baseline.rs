@@ -32,9 +32,9 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
 
-use vmplants::ablations::BURST_SIZES;
+use vmplants::ablations::{concurrent_burst, BURST_SIZES};
 use vmplants::experiments::run_creation_experiment;
-use vmplants::parallel::{concurrent_burst_parallel, run_ordered};
+use vmplants::parallel::run_ordered;
 use vmplants_bench::seed_from_args;
 use vmplants_cluster::nfs::NfsServer;
 use vmplants_dag::{Action, ConfigDag, PerformedLog};
@@ -421,7 +421,7 @@ fn bench_experiments(seed: u64, quick: bool) -> Vec<ExperimentWall> {
     }
 
     let started = Instant::now();
-    let bursts = concurrent_burst_parallel(seed + 100);
+    let bursts = concurrent_burst(seed + 100);
     assert_eq!(bursts.len(), BURST_SIZES.len());
     walls.push(ExperimentWall {
         name: "e14_burst_sweep_parallel",

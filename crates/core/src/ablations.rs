@@ -24,6 +24,7 @@ use vmplants_plant::{CostModel, VmId};
 use vmplants_simkit::stats::Summary;
 use vmplants_virt::VmSpec;
 
+use crate::parallel::run_ordered;
 use crate::site::{SimSite, SiteConfig};
 
 /// E10 results.
@@ -155,12 +156,15 @@ pub fn matching_depth_row(depth: usize, per_depth: usize, seed: u64) -> (usize, 
 }
 
 /// Run E11: mean creation latency with a golden covering the first
-/// `depth` actions, for every depth 0..=6. Returns `(depth, mean_s)`.
+/// `depth` actions, for every depth 0..=6, one [`run_ordered`] job per
+/// depth. Returns `(depth, mean_s)` in depth order.
 pub fn matching_depth_ablation(per_depth: usize, seed: u64) -> Vec<(usize, f64)> {
     let depths = depth_ablation_dag().len();
-    (0..=depths)
-        .map(|depth| matching_depth_row(depth, per_depth, seed))
-        .collect()
+    run_ordered(
+        (0..=depths)
+            .map(|depth| move || matching_depth_row(depth, per_depth, seed))
+            .collect(),
+    )
 }
 
 /// E12 results row.
@@ -390,11 +394,14 @@ pub fn burst_row(burst: usize, seed: u64) -> BurstRow {
 /// Run E14: bursts of simultaneous 64 MB creations on the 8-plant site.
 /// The paper measures only sequential streams; under a burst, clones
 /// contend on the shared NFS pipe and latency grows with burst size.
+/// One [`run_ordered`] job per burst size; rows come back in sweep order.
 pub fn concurrent_burst(seed: u64) -> Vec<BurstRow> {
-    BURST_SIZES
-        .iter()
-        .map(|&burst| burst_row(burst, seed))
-        .collect()
+    run_ordered(
+        BURST_SIZES
+            .iter()
+            .map(|&burst| move || burst_row(burst, seed))
+            .collect(),
+    )
 }
 
 #[cfg(test)]

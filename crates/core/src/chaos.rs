@@ -19,7 +19,7 @@ use vmplants_shop::{RecoveryStats, ShopClient, ShopTuning};
 use vmplants_simkit::stats::Summary;
 use vmplants_simkit::{
     Engine, FaultEvent, FaultInjector, FaultKind, FaultPlan, LinkTuning, Obs, SimDuration,
-    SimTime, SketchMetric, TransportStats, WindowSeries,
+    SimTime, SketchMetric, TransportStats,
 };
 use vmplants_virt::VmSpec;
 
@@ -87,80 +87,6 @@ impl SloSpec {
     }
 }
 
-/// Fixed-window load/error/retransmit timeline of one chaos run —
-/// arrivals, completions, terminal errors and shop retransmissions
-/// bucketed into the same sim-time windows. Merging per-shard timelines
-/// is windowwise addition, so sharded runs aggregate deterministically.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChaosTimeline {
-    /// Client arrivals per window.
-    pub arrivals: WindowSeries,
-    /// Successful completions per window (keyed by response time).
-    pub completions: WindowSeries,
-    /// Terminal errors per window (keyed by response time).
-    pub errors: WindowSeries,
-    /// Shop→plant retransmissions per window (from the obs windowed
-    /// counters; empty when the run was not observed).
-    pub retransmits: WindowSeries,
-}
-
-impl ChaosTimeline {
-    /// An empty timeline over `width` windows.
-    pub fn new(width: SimDuration) -> ChaosTimeline {
-        ChaosTimeline {
-            arrivals: WindowSeries::new(width),
-            completions: WindowSeries::new(width),
-            errors: WindowSeries::new(width),
-            retransmits: WindowSeries::new(width),
-        }
-    }
-
-    /// The window width.
-    pub fn width(&self) -> SimDuration {
-        self.arrivals.width()
-    }
-
-    /// Windowwise addition; order-invariant.
-    pub fn merge(&mut self, other: &ChaosTimeline) {
-        self.arrivals.merge(&other.arrivals);
-        self.completions.merge(&other.completions);
-        self.errors.merge(&other.errors);
-        self.retransmits.merge(&other.retransmits);
-    }
-
-    /// Deterministic textual rendering: one line per window up to the
-    /// last non-empty one.
-    pub fn render(&self) -> String {
-        let mut out = format!("timeline (window={}):\n", self.width());
-        let last = [
-            &self.arrivals,
-            &self.completions,
-            &self.errors,
-            &self.retransmits,
-        ]
-        .iter()
-        .filter_map(|s| s.max_index())
-        .max();
-        let Some(last) = last else {
-            out.push_str("  (empty)\n");
-            return out;
-        };
-        let width_s = self.width().as_secs_f64();
-        for w in 0..=last {
-            out.push_str(&format!(
-                "  w{w} [{}s,{}s): arrivals={} completions={} errors={} retransmits={}\n",
-                w as f64 * width_s,
-                (w + 1) as f64 * width_s,
-                self.arrivals.get(w),
-                self.completions.get(w),
-                self.errors.get(w),
-                self.retransmits.get(w),
-            ));
-        }
-        out
-    }
-}
-
 /// One chaos run's configuration.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
@@ -196,16 +122,6 @@ pub struct ChaosConfig {
     /// Secondary NFS servers built into the testbed (replication
     /// targets; 0 = the plain §4.2 testbed).
     pub replica_servers: usize,
-    /// Keep the full per-order latency sample vector in the report.
-    /// `true` (the default) preserves the legacy behaviour the committed
-    /// fixtures and the exact-percentile scoring path rely on; `false`
-    /// bounds report memory to the sketch — the at-scale mode.
-    pub full_samples: bool,
-    /// Bucket arrivals/completions/errors/retransmits into fixed
-    /// sim-time windows of this width and attach the timeline to the
-    /// report. `None` (the default) keeps the report byte-identical to
-    /// earlier releases.
-    pub obs_windows: Option<SimDuration>,
     /// Service-level objective to evaluate against the run; violations
     /// render in the report and surface in sweep scoring.
     pub slo: Option<SloSpec>,
@@ -225,8 +141,6 @@ impl Default for ChaosConfig {
             warehouse: vmplants_warehouse::WarehouseConfig::default(),
             zipf_goldens: 0,
             replica_servers: 0,
-            full_samples: true,
-            obs_windows: None,
             slo: None,
         }
     }
@@ -272,17 +186,12 @@ pub struct ChaosReport {
     /// End-to-end latency of every successful order, seconds.
     pub latency: Summary,
     /// The individual successful-order latencies behind `latency`, in
-    /// request order — kept only when [`ChaosConfig::full_samples`] is
-    /// on (the default); empty in the bounded-memory at-scale mode,
-    /// where `latency_sketch` carries the quantiles instead.
+    /// request order — the exact oracle for the figures' percentiles.
     pub latency_samples: Vec<f64>,
     /// Mergeable log-bucket quantile sketch over the same successful
     /// latencies: p50/p99/p999 within [`vmplants_simkit::SKETCH_ALPHA`]
     /// relative error from O(1) memory, always populated.
     pub latency_sketch: SketchMetric,
-    /// Windowed load/error/retransmit timeline; `Some` only when
-    /// [`ChaosConfig::obs_windows`] was set.
-    pub timeline: Option<ChaosTimeline>,
     /// The SLO the run was judged against, if any (copied from the
     /// config so the report is self-describing).
     pub slo: Option<SloSpec>,
@@ -405,11 +314,8 @@ impl ChaosReport {
                 r.duplicate_vms,
             ));
         }
-        // Timeline and SLO lines render only when configured, keeping
-        // legacy reports (and their committed fixtures) byte-identical.
-        if let Some(timeline) = &self.timeline {
-            out.push_str(&timeline.render());
-        }
+        // SLO lines render only when configured, keeping legacy reports
+        // (and their committed fixtures) byte-identical.
         if let Some(slo) = &self.slo {
             if self.latency_sketch.is_empty() {
                 out.push_str("slo quantiles: n=0\n");
@@ -562,11 +468,6 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
         SimSite::build_with_obs(site_config, obs)
     };
     site.shop.set_tuning(config.tuning.clone());
-    if let Some(width) = config.obs_windows {
-        // Windowed counters are independent of span tracing: they work
-        // under Obs::disabled too, so sweeps get timelines for free.
-        site.obs.enable_windows(width);
-    }
     for plant in &site.plants {
         plant.set_dedup_capacity(config.tuning.dedup_capacity);
     }
@@ -697,19 +598,10 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
     let mut latency = Summary::new();
     let mut latency_samples = Vec::new();
     let mut latency_sketch = SketchMetric::default();
-    let mut timeline = config.obs_windows.map(ChaosTimeline::new);
     let mut recovery_latency = Summary::new();
     let mut successes = 0;
     let mut recovered = 0;
     let mut settled = log.len();
-    if let Some(t) = &mut timeline {
-        for arrival in &arrivals {
-            t.arrivals.mark(SimTime::from_millis(arrival.at.as_millis()));
-        }
-        if let Some(retransmits) = site.obs.window_series("shop.retransmits") {
-            t.retransmits = retransmits;
-        }
-    }
     match &client {
         // Failover-client accounting: the client log sees end-to-end
         // latency *including* downtime and resubmission gaps, while
@@ -722,16 +614,7 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
                     successes += 1;
                     latency.record(entry.latency.as_secs_f64());
                     latency_sketch.record(entry.latency.as_secs_f64());
-                    if config.full_samples {
-                        latency_samples.push(entry.latency.as_secs_f64());
-                    }
-                }
-                if let Some(t) = &mut timeline {
-                    if entry.success {
-                        t.completions.mark(entry.responded_at);
-                    } else {
-                        t.errors.mark(entry.responded_at);
-                    }
+                    latency_samples.push(entry.latency.as_secs_f64());
                 }
             }
             for entry in &log {
@@ -747,19 +630,10 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
                     successes += 1;
                     latency.record(entry.latency.as_secs_f64());
                     latency_sketch.record(entry.latency.as_secs_f64());
-                    if config.full_samples {
-                        latency_samples.push(entry.latency.as_secs_f64());
-                    }
+                    latency_samples.push(entry.latency.as_secs_f64());
                     if entry.attempts >= 2 {
                         recovered += 1;
                         recovery_latency.record(entry.latency.as_secs_f64());
-                    }
-                }
-                if let Some(t) = &mut timeline {
-                    if entry.success {
-                        t.completions.mark(entry.responded_at);
-                    } else {
-                        t.errors.mark(entry.responded_at);
                     }
                 }
             }
@@ -787,7 +661,6 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
         latency,
         latency_samples,
         latency_sketch,
-        timeline,
         slo: config.slo,
         recovery_latency,
         errors: Rc::try_unwrap(errors)
@@ -927,54 +800,53 @@ mod tests {
     }
 
     #[test]
-    fn slo_timeline_and_sketch_extend_the_report_only_when_asked() {
-        let plain = run_chaos(&eventful_config(7));
-        let plain_text = plain.render();
-        assert!(!plain_text.contains("timeline"), "legacy reports unchanged");
-        assert!(!plain_text.contains("slo"), "legacy reports unchanged");
-        assert_eq!(plain.latency_sketch.count(), plain.successes as u64);
+    fn sketch_agrees_with_samples_and_slo_renders_only_when_asked() {
+        // The shop crashes mid-stream and comes back, so arrivals take
+        // the failover-client accounting path instead of the direct one.
+        let shop_crash = ChaosConfig {
+            requests: 12,
+            plan: FaultPlan::new().shop_crash_at(
+                SimTime::from_secs(65),
+                "shop",
+                Some(SimDuration::from_secs(120)),
+            ),
+            ..eventful_config(7)
+        };
+        for (path, config) in [("direct", eventful_config(7)), ("client", shop_crash)] {
+            let plain = run_chaos(&config);
+            assert_eq!(plain.recovery.is_some(), path == "client", "{path}");
+            assert!(plain.successes > 0, "{path}: {}", plain.render());
+            assert_eq!(plain.latency_samples.len(), plain.successes, "{path}");
+            assert_eq!(plain.latency_sketch.count(), plain.successes as u64, "{path}");
+            // The sketch p99 agrees with the exact oracle over the kept
+            // samples, within the documented bound.
+            let exact = vmplants_simkit::stats::percentile(&plain.latency_samples, 99.0);
+            assert!(
+                (plain.p99() - exact).abs() <= vmplants_simkit::SKETCH_ALPHA * exact + 1e-9,
+                "{path}: sketch p99 {} vs exact {exact}",
+                plain.p99()
+            );
+            assert!(!plain.render().contains("slo"), "legacy reports unchanged");
 
-        let mut config = eventful_config(7);
-        config.full_samples = false;
-        config.obs_windows = Some(SimDuration::from_secs(60));
-        config.slo = Some(SloSpec {
-            success_rate: Some(0.25),
-            p99_s: Some(0.001),
-            ..SloSpec::default()
-        });
-        let report = run_chaos(&config);
-        assert!(
-            report.latency_samples.is_empty(),
-            "at-scale mode keeps no raw samples"
-        );
-        assert_eq!(report.latency_sketch, plain.latency_sketch);
-
-        // The sketch p99 agrees with the exact oracle over the samples
-        // the full-fidelity run kept, within the documented bound.
-        let exact = vmplants_simkit::stats::percentile(&plain.latency_samples, 99.0);
-        assert!(
-            (report.p99() - exact).abs() <= vmplants_simkit::SKETCH_ALPHA * exact + 1e-9,
-            "sketch p99 {} vs exact {exact}",
-            report.p99()
-        );
-
-        let t = report.timeline.as_ref().expect("timeline");
-        assert_eq!(t.arrivals.total() as usize, report.requests);
-        assert_eq!(t.completions.total() as usize, report.successes);
-        assert_eq!(
-            t.errors.total() as usize,
-            report.requests - report.successes - report.hung_orders
-        );
-
-        let text = report.render();
-        assert!(text.contains("timeline (window=60.000s):"), "{text}");
-        assert!(text.contains("slo quantiles"), "{text}");
-        let violations = report.slo_violations();
-        assert!(
-            violations.iter().any(|v| v.starts_with("p99 ")),
-            "tight p99 objective must trip: {violations:?}"
-        );
-        assert!(text.contains("slo violation: p99 "), "{text}");
+            let report = run_chaos(&ChaosConfig {
+                slo: Some(SloSpec {
+                    success_rate: Some(0.25),
+                    p99_s: Some(0.001),
+                    ..SloSpec::default()
+                }),
+                ..config
+            });
+            assert_eq!(report.latency_samples, plain.latency_samples, "{path}");
+            assert_eq!(report.latency_sketch, plain.latency_sketch, "{path}");
+            let text = report.render();
+            assert!(text.contains("slo quantiles"), "{text}");
+            let violations = report.slo_violations();
+            assert!(
+                violations.iter().any(|v| v.starts_with("p99 ")),
+                "tight p99 objective must trip: {violations:?}"
+            );
+            assert!(text.contains("slo violation: p99 "), "{text}");
+        }
     }
 
     #[test]

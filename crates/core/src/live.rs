@@ -14,6 +14,8 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use vmplants_classad::ClassAd;
@@ -71,9 +73,12 @@ fn shop_error_response(e: &ShopError) -> Response {
     }
 }
 
-/// A running live shop: owns the listener thread.
+/// A running live shop: owns the listener thread. Only this handle can
+/// stop the service ([`LiveShop::stop`] or drop); no frame a client
+/// sends does.
 pub struct LiveShop {
     addr: SocketAddr,
+    stopping: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -84,11 +89,14 @@ impl LiveShop {
     pub fn start(config: SiteConfig) -> io::Result<LiveShop> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
+        let stopping = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stopping);
         let handle = std::thread::Builder::new()
             .name("vmshop-live".into())
-            .spawn(move || serve(listener, config))?;
+            .spawn(move || serve(listener, config, &flag))?;
         Ok(LiveShop {
             addr,
+            stopping,
             handle: Some(handle),
         })
     }
@@ -98,22 +106,19 @@ impl LiveShop {
         self.addr
     }
 
-    /// Stop the service and join its thread.
-    pub fn stop(mut self) {
-        let _ = send_raw(self.addr, "<shutdown/>");
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
+    /// Stop the service and join its thread (what dropping the handle
+    /// does).
+    pub fn stop(self) {}
 }
 
 impl Drop for LiveShop {
     fn drop(&mut self) {
-        if self.handle.is_some() {
-            let _ = send_raw(self.addr, "<shutdown/>");
-            if let Some(handle) = self.handle.take() {
-                let _ = handle.join();
-            }
+        if let Some(handle) = self.handle.take() {
+            // Raise the flag first, then wake the accept loop with a bare
+            // connection: whatever it accepts next, it sees the flag.
+            self.stopping.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(self.addr);
+            let _ = handle.join();
         }
     }
 }
@@ -124,17 +129,16 @@ fn send_raw(addr: SocketAddr, payload: &str) -> io::Result<String> {
     read_frame(&mut stream)
 }
 
-fn serve(listener: TcpListener, config: SiteConfig) {
+fn serve(listener: TcpListener, config: SiteConfig, stopping: &AtomicBool) {
     let mut site = SimSite::build(config);
     for conn in listener.incoming() {
+        if stopping.load(Ordering::SeqCst) {
+            return;
+        }
         let Ok(mut stream) = conn else { continue };
         let Ok(text) = read_frame(&mut stream) else {
             continue;
         };
-        if text == "<shutdown/>" {
-            let _ = write_frame(&mut stream, "<ok/>");
-            return;
-        }
         let response = handle_request(&mut site, &text);
         let _ = write_frame(&mut stream, &response.to_wire());
     }

@@ -44,21 +44,15 @@ pub struct Score {
 }
 
 impl Score {
-    /// Score a chaos report. The exact percentile is used when the run
-    /// kept full samples; otherwise (the bounded-memory at-scale mode)
-    /// the p99 comes from the mergeable sketch — scoring never requires
-    /// the raw sample vector.
+    /// Score a chaos report: the p99 is the exact percentile over the
+    /// report's successful-order latencies.
     pub fn of(report: &ChaosReport) -> Score {
         let mut error_classes = BTreeMap::new();
         for e in &report.errors {
             *error_classes.entry(error_class(e)).or_insert(0) += 1;
         }
         let (mean, p99) = if report.latency_samples.is_empty() {
-            if report.latency_sketch.is_empty() {
-                (0.0, 0.0)
-            } else {
-                (report.latency.mean(), report.p99())
-            }
+            (0.0, 0.0)
         } else {
             (report.latency.mean(), percentile(&report.latency_samples, 99.0))
         };
@@ -300,10 +294,9 @@ mod tests {
     }
 
     #[test]
-    fn score_falls_back_to_the_sketch_without_samples() {
+    fn score_reads_the_exact_p99_and_the_slo_violations() {
         let config = crate::chaos::ChaosConfig {
             requests: 4,
-            full_samples: false,
             slo: Some(crate::chaos::SloSpec {
                 p99_s: Some(0.001),
                 ..crate::chaos::SloSpec::default()
@@ -311,9 +304,10 @@ mod tests {
             ..crate::chaos::ChaosConfig::default()
         };
         let report = run_chaos(&config);
-        assert!(report.latency_samples.is_empty());
+        assert_eq!(report.latency_samples.len(), 4);
         let s = Score::of(&report);
-        assert!(s.p99_latency_s > 0.0, "p99 scored from the sketch");
+        assert!(s.p99_latency_s > 0.0);
+        assert_eq!(s.p99_latency_s, percentile(&report.latency_samples, 99.0));
         assert!(!s.slo_violations.is_empty(), "1ms p99 objective must trip");
     }
 

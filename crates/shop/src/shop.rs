@@ -841,9 +841,6 @@ impl VmShop {
             }
             if attempt > 0 {
                 state.retransmits.inc();
-                // Feed the windowed timeline (inert unless the run
-                // enabled windowed counters).
-                state.obs.window_mark("shop.retransmits", engine.now());
             }
         }
         let shop_name = self.name();

@@ -33,9 +33,8 @@
 //!   of occurrence per bin; per-sequence-number series).
 //! * [`obs`] — deterministic observability: sim-time span/event tracing
 //!   with JSONL and Chrome `trace_event` exporters, a unified metrics
-//!   registry (counters, gauges, fixed-bucket histograms), and a
-//!   critical-path analyzer whose phase durations sum exactly to a span's
-//!   end-to-end latency.
+//!   registry (counters and gauges), and a critical-path analyzer whose
+//!   phase durations sum exactly to a span's end-to-end latency.
 //! * [`prop`] — a seeded property-test harness on [`rng::SimRng`] with a
 //!   halving shrinker; every property test in the workspace runs on it.
 //!
@@ -72,8 +71,8 @@ pub mod transport;
 pub use engine::{Engine, EventId};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultPlanError};
 pub use obs::{
-    Counter, CriticalPath, FlightRecorder, FlightSpan, FlightTrace, Gauge, HistogramMetric, Obs,
-    SamplerConfig, SamplerStats, SpanId, TrackId,
+    Counter, CriticalPath, FlightRecorder, FlightSpan, FlightTrace, Gauge, Obs, SamplerConfig,
+    SamplerStats, SpanId, TrackId,
 };
 pub use rng::SimRng;
 pub use stats::{SketchMetric, WindowSeries, SKETCH_ALPHA};

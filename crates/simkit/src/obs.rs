@@ -10,11 +10,12 @@
 //!   buffer with stable integer IDs. A VM-creation order yields a span tree
 //!   like `order → bid → produce → {clone_disk, copy_vmss, resume,
 //!   guest_script}` with exact sim-duration attribution.
-//! * A **unified metrics registry** — typed [`Counter`]s, [`Gauge`]s and
-//!   fixed-bucket [`HistogramMetric`]s registered by name. Components own
-//!   cheap `Rc<Cell<..>>` handles and count through them unconditionally;
-//!   the registry is a *named view* over those handles, so there is exactly
-//!   one counting path and a snapshot is always consistent.
+//! * A **unified metrics registry** — typed [`Counter`]s and [`Gauge`]s
+//!   registered by name. Components own cheap `Rc<Cell<..>>` handles and
+//!   count through them unconditionally; the registry is a *named view*
+//!   over those handles, so there is exactly one counting path and a
+//!   snapshot is always consistent. Latency quantiles live in
+//!   [`crate::stats::SketchMetric`].
 //! * **Exporters** — deterministic JSONL ([`Obs::trace_jsonl`]), Chrome
 //!   `trace_event` JSON loadable in `chrome://tracing` / Perfetto
 //!   ([`Obs::chrome_trace`], sim-milliseconds mapped to microseconds), and
@@ -47,7 +48,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
-use crate::stats::WindowSeries;
 use crate::time::{SimDuration, SimTime};
 
 /// FNV-1a 64-bit hash: the deterministic, seed-free key hash behind head
@@ -146,116 +146,11 @@ impl Gauge {
     }
 }
 
-#[derive(Debug)]
-struct HistInner {
-    /// Upper bounds of the finite buckets; an implicit `+inf` bucket
-    /// follows the last bound.
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    sum: f64,
-    count: u64,
-}
-
-/// A fixed-bucket histogram handle: observation `x` lands in the first
-/// bucket whose upper bound is `>= x`, or the implicit `+inf` bucket.
-#[derive(Clone, Debug)]
-pub struct HistogramMetric(Rc<RefCell<HistInner>>);
-
-impl HistogramMetric {
-    /// A histogram with the given finite upper bounds (must be sorted
-    /// ascending; an `+inf` overflow bucket is implicit).
-    pub fn new(bounds: &[f64]) -> HistogramMetric {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        HistogramMetric(Rc::new(RefCell::new(HistInner {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0.0,
-            count: 0,
-        })))
-    }
-
-    /// Record one observation.
-    pub fn record(&self, x: f64) {
-        let mut h = self.0.borrow_mut();
-        let idx = h
-            .bounds
-            .iter()
-            .position(|&b| x <= b)
-            .unwrap_or(h.bounds.len());
-        h.counts[idx] += 1;
-        h.sum += x;
-        h.count += 1;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.0.borrow().count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.0.borrow().sum
-    }
-
-    /// `(upper_bound, count)` rows; the final row uses `f64::INFINITY`.
-    pub fn buckets(&self) -> Vec<(f64, u64)> {
-        let h = self.0.borrow();
-        h.bounds
-            .iter()
-            .copied()
-            .chain(std::iter::once(f64::INFINITY))
-            .zip(h.counts.iter().copied())
-            .collect()
-    }
-
-    /// `(upper_bound, cumulative_count)` rows: each row counts every
-    /// observation `<=` its bound, so the final (`+inf`) row equals
-    /// [`HistogramMetric::count`]. The Prometheus-style view rendered by
-    /// [`Obs::metrics_text`].
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let mut acc = 0;
-        self.buckets()
-            .into_iter()
-            .map(|(bound, n)| {
-                acc += n;
-                (bound, acc)
-            })
-            .collect()
-    }
-
-    /// Quantile estimate for `q` in `[0, 1]` using the nearest-rank
-    /// convention (`rank = round(q·(n−1))`): the upper bound of the bucket
-    /// containing that rank. Returns NaN when empty and `+inf` when the
-    /// rank falls in the overflow bucket — a fixed-bucket histogram only
-    /// resolves quantiles to bucket granularity (use
-    /// `stats::SketchMetric` for relative-error-bounded quantiles).
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let h = self.0.borrow();
-        if h.count == 0 {
-            return f64::NAN;
-        }
-        let rank = (q * (h.count as f64 - 1.0)).round() as u64;
-        let mut seen = 0u64;
-        for (i, &n) in h.counts.iter().enumerate() {
-            seen += n;
-            if rank < seen {
-                return h.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            }
-        }
-        f64::INFINITY
-    }
-}
-
 /// One registered metric: a named view over a shared handle.
 #[derive(Clone, Debug)]
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
-    Histogram(HistogramMetric),
 }
 
 #[derive(Clone)]
@@ -347,14 +242,6 @@ struct SamplerInner {
     event_counts: RefCell<BTreeMap<String, u64>>,
 }
 
-/// Sim-time windowed counters attached to an [`Obs`]: components mark
-/// named series via [`Obs::window_mark`]; inert until
-/// [`Obs::enable_windows`] sets a width.
-struct WindowState {
-    width: SimDuration,
-    series: BTreeMap<String, WindowSeries>,
-}
-
 /// Counters describing what sampled-mode tracing kept and dropped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SamplerStats {
@@ -384,7 +271,6 @@ struct ObsInner {
     ambient: Cell<SpanId>,
     metrics: RefCell<BTreeMap<String, Metric>>,
     sampler: Option<SamplerInner>,
-    windows: RefCell<Option<WindowState>>,
 }
 
 /// Sampled-mode span ids encode `(slot, local_index)` so span calls can
@@ -446,7 +332,6 @@ impl Obs {
                 ambient: Cell::new(SpanId::NONE),
                 metrics: RefCell::new(BTreeMap::new()),
                 sampler,
-                windows: RefCell::new(None),
             }),
         }
     }
@@ -792,52 +677,6 @@ impl Obs {
     }
 
     // ------------------------------------------------------------------
-    // Windowed counters.
-    // ------------------------------------------------------------------
-
-    /// Turn on fixed-width sim-time windowed counters. Until this is
-    /// called, [`Obs::window_mark`] is a single-branch no-op (and the
-    /// timeline stays out of every pinned report). Works in any tracing
-    /// mode, like the metrics registry.
-    pub fn enable_windows(&self, width: SimDuration) {
-        *self.inner.windows.borrow_mut() = Some(WindowState {
-            width,
-            series: BTreeMap::new(),
-        });
-    }
-
-    /// The configured window width, when windows are enabled.
-    pub fn windows_width(&self) -> Option<SimDuration> {
-        self.inner.windows.borrow().as_ref().map(|w| w.width)
-    }
-
-    /// Count one occurrence at `at` into the named windowed series.
-    pub fn window_mark(&self, name: &str, at: SimTime) {
-        let mut windows = self.inner.windows.borrow_mut();
-        let Some(state) = windows.as_mut() else {
-            return;
-        };
-        match state.series.get_mut(name) {
-            Some(series) => series.mark(at),
-            None => {
-                let mut series = WindowSeries::new(state.width);
-                series.mark(at);
-                state.series.insert(name.to_string(), series);
-            }
-        }
-    }
-
-    /// Snapshot a named windowed series (`None` when windows are off or
-    /// the series was never marked).
-    pub fn window_series(&self, name: &str) -> Option<WindowSeries> {
-        self.inner
-            .windows
-            .borrow()
-            .as_ref()
-            .and_then(|w| w.series.get(name).cloned())
-    }
-
-    // ------------------------------------------------------------------
     // Sampled-mode inspection.
     // ------------------------------------------------------------------
 
@@ -1050,27 +889,6 @@ impl Obs {
             .insert(name.to_string(), Metric::Gauge(gauge.clone()));
     }
 
-    /// Register an existing histogram handle under a name.
-    pub fn register_histogram(&self, name: &str, histogram: &HistogramMetric) {
-        self.inner
-            .metrics
-            .borrow_mut()
-            .insert(name.to_string(), Metric::Histogram(histogram.clone()));
-    }
-
-    /// Get-or-register a fixed-bucket histogram by name. `bounds` is only
-    /// consulted on first registration.
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> HistogramMetric {
-        let mut metrics = self.inner.metrics.borrow_mut();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(HistogramMetric::new(bounds)))
-        {
-            Metric::Histogram(h) => h.clone(),
-            other => panic!("metric {name:?} already registered as {other:?}"),
-        }
-    }
-
     /// Read a registered counter's value (`None` when absent or not a
     /// counter).
     pub fn counter_value(&self, name: &str) -> Option<u64> {
@@ -1100,24 +918,6 @@ impl Obs {
                 Metric::Gauge(g) => {
                     out.push_str(&format!("gauge {name} {}\n", g.get()));
                 }
-                Metric::Histogram(h) => {
-                    // Cumulative per-bucket counts (each `le_B` counts all
-                    // observations <= B, so `le_inf` equals `count`).
-                    let mut line = format!(
-                        "histogram {name} count={} sum={:.3}",
-                        h.count(),
-                        h.sum()
-                    );
-                    for (bound, cum) in h.cumulative_buckets() {
-                        if bound.is_infinite() {
-                            line.push_str(&format!(" le_inf={cum}"));
-                        } else {
-                            line.push_str(&format!(" le_{bound}={cum}"));
-                        }
-                    }
-                    line.push('\n');
-                    out.push_str(&line);
-                }
             }
         }
         out
@@ -1133,32 +933,20 @@ impl Obs {
     /// traces (in completion order, ids renumbered contiguously); the
     /// flight recorder has its own exporters.
     pub fn trace_jsonl(&self) -> String {
-        if let Some(sampler) = &self.inner.sampler {
-            let tracks = self.inner.tracks.borrow();
-            let mut out = String::new();
-            let mut next_id = 1usize;
-            for buf in sampler.retained.borrow().iter() {
-                push_trace_jsonl(&mut out, buf, &tracks, &mut next_id);
-            }
-            return out;
-        }
         let tracks = self.inner.tracks.borrow();
         let mut out = String::new();
-        for (i, s) in self.inner.spans.borrow().iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"track\":{},\"name\":{}",
-                i + 1,
-                s.parent.0,
-                json_str(&tracks[s.track.0 as usize]),
-                json_str(&s.name),
-            ));
-            out.push_str(&format!(",\"start_ms\":{}", s.start.as_millis()));
-            match s.end {
-                Some(end) => out.push_str(&format!(",\"end_ms\":{}", end.as_millis())),
-                None => out.push_str(",\"end_ms\":null"),
+        let mut next_id = 1;
+        match &self.inner.sampler {
+            Some(sampler) => {
+                for buf in sampler.retained.borrow().iter() {
+                    let spans = buf.spans.iter().map(|s| s.line(&tracks));
+                    push_spans_jsonl(&mut out, spans, &mut next_id);
+                }
             }
-            push_attrs(&mut out, &s.attrs);
-            out.push_str("}\n");
+            None => {
+                let spans = self.inner.spans.borrow();
+                push_spans_jsonl(&mut out, spans.iter().map(|s| s.line(&tracks)), &mut next_id);
+            }
         }
         for e in self.inner.events.borrow().iter() {
             out.push_str(&format!(
@@ -1167,7 +955,7 @@ impl Obs {
                 json_str(&e.name),
                 e.at.as_millis()
             ));
-            push_attrs(&mut out, &e.attrs);
+            push_attrs(&mut out, "attrs", &e.attrs);
             out.push_str("}\n");
         }
         out
@@ -1180,53 +968,17 @@ impl Obs {
     /// sampled mode this exports the head-sampled traces' spans.
     pub fn chrome_trace(&self) -> String {
         let tracks = self.inner.tracks.borrow();
-        let mut events: Vec<String> = Vec::new();
-        events.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"vmplants\"}}"
-                .to_string(),
-        );
-        for (i, t) in tracks.iter().enumerate() {
-            events.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"name\":{}}}}}",
-                i + 1,
-                json_str(t)
-            ));
-        }
-        let mut push_span = |s: &SpanRec| {
-            let start_us = s.start.as_millis() * 1000;
-            let dur_us = s
-                .end
-                .map(|e| e.since_saturating(s.start).as_millis() * 1000)
-                .unwrap_or(0);
-            let mut ev = format!(
-                "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{start_us},\
-                 \"dur\":{dur_us}",
-                json_str(&s.name),
-                s.track.0 as usize + 1,
-            );
-            ev.push_str(",\"args\":{");
-            for (i, (k, v)) in s.attrs.iter().enumerate() {
-                if i > 0 {
-                    ev.push(',');
-                }
-                ev.push_str(&format!("{}:{}", json_str(k), json_str(v)));
-            }
-            ev.push_str("}}");
-            events.push(ev);
+        let span_event = |s: &SpanRec| chrome_span(&s.line(&tracks), s.track.0 as usize + 1);
+        let mut events: Vec<String> = match &self.inner.sampler {
+            Some(sampler) => sampler
+                .retained
+                .borrow()
+                .iter()
+                .flat_map(|buf| &buf.spans)
+                .map(span_event)
+                .collect(),
+            None => self.inner.spans.borrow().iter().map(span_event).collect(),
         };
-        if let Some(sampler) = &self.inner.sampler {
-            for buf in sampler.retained.borrow().iter() {
-                for s in &buf.spans {
-                    push_span(s);
-                }
-            }
-        } else {
-            for s in self.inner.spans.borrow().iter() {
-                push_span(s);
-            }
-        }
         for e in self.inner.events.borrow().iter() {
             let mut ev = format!(
                 "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{}",
@@ -1234,26 +986,11 @@ impl Obs {
                 e.track.0 as usize + 1,
                 e.at.as_millis() * 1000
             );
-            ev.push_str(",\"args\":{");
-            for (i, (k, v)) in e.attrs.iter().enumerate() {
-                if i > 0 {
-                    ev.push(',');
-                }
-                ev.push_str(&format!("{}:{}", json_str(k), json_str(v)));
-            }
-            ev.push_str("}}");
+            push_attrs(&mut ev, "args", &e.attrs);
+            ev.push('}');
             events.push(ev);
         }
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        for (i, ev) in events.iter().enumerate() {
-            out.push_str(ev);
-            if i + 1 < events.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]}\n");
-        out
+        chrome_document("vmplants", &tracks, events)
     }
 
     // ------------------------------------------------------------------
@@ -1528,7 +1265,7 @@ impl FlightRecorder {
     /// renumbered contiguously across the dump).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        let mut next_id = 1usize;
+        let mut next_id = 1;
         for (kind, trace) in self
             .slowest
             .iter()
@@ -1544,24 +1281,7 @@ impl FlightRecorder {
                 trace.duration_ms,
                 trace.failed,
             ));
-            let base = next_id;
-            for (i, s) in trace.spans.iter().enumerate() {
-                out.push_str(&format!(
-                    "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"track\":{},\"name\":{}",
-                    base + i,
-                    if s.parent == 0 { 0 } else { base + s.parent as usize - 1 },
-                    json_str(&s.track),
-                    json_str(&s.name),
-                ));
-                out.push_str(&format!(",\"start_ms\":{}", s.start_ms));
-                match s.end_ms {
-                    Some(end) => out.push_str(&format!(",\"end_ms\":{end}")),
-                    None => out.push_str(",\"end_ms\":null"),
-                }
-                push_attrs(&mut out, &s.attrs);
-                out.push_str("}\n");
-            }
-            next_id += trace.spans.len();
+            push_spans_jsonl(&mut out, trace.spans.iter().map(FlightSpan::line), &mut next_id);
         }
         out
     }
@@ -1570,59 +1290,25 @@ impl FlightRecorder {
     /// retained trace's spans, with tracks interned in first-appearance
     /// order. The dump for a million-order run is kilobytes.
     pub fn chrome_trace(&self) -> String {
+        let spans = || {
+            self.slowest
+                .iter()
+                .chain(&self.failed)
+                .flat_map(|t| &t.spans)
+        };
         let mut tracks: Vec<&str> = Vec::new();
-        for t in self.slowest.iter().chain(self.failed.iter()) {
-            for s in &t.spans {
-                if !tracks.contains(&s.track.as_str()) {
-                    tracks.push(&s.track);
-                }
+        for s in spans() {
+            if !tracks.contains(&s.track.as_str()) {
+                tracks.push(&s.track);
             }
         }
-        let mut events: Vec<String> = Vec::new();
-        events.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"vmplants-flight\"}}"
-                .to_string(),
-        );
-        for (i, t) in tracks.iter().enumerate() {
-            events.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"name\":{}}}}}",
-                i + 1,
-                json_str(t)
-            ));
-        }
-        for trace in self.slowest.iter().chain(self.failed.iter()) {
-            for s in &trace.spans {
+        let events = spans()
+            .map(|s| {
                 let tid = tracks.iter().position(|t| *t == s.track).unwrap() + 1;
-                let start_us = s.start_ms * 1000;
-                let dur_us = s.end_ms.map(|e| (e - s.start_ms) * 1000).unwrap_or(0);
-                let mut ev = format!(
-                    "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\
-                     \"ts\":{start_us},\"dur\":{dur_us}",
-                    json_str(&s.name),
-                );
-                ev.push_str(",\"args\":{");
-                for (i, (k, v)) in s.attrs.iter().enumerate() {
-                    if i > 0 {
-                        ev.push(',');
-                    }
-                    ev.push_str(&format!("{}:{}", json_str(k), json_str(v)));
-                }
-                ev.push_str("}}");
-                events.push(ev);
-            }
-        }
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        for (i, ev) in events.iter().enumerate() {
-            out.push_str(ev);
-            if i + 1 < events.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]}\n");
-        out
+                chrome_span(&s.line(), tid)
+            })
+            .collect();
+        chrome_document("vmplants-flight", &tracks, events)
     }
 }
 
@@ -1649,31 +1335,110 @@ fn flight_trace(buf: &TraceBuf, tracks: &[String]) -> FlightTrace {
     }
 }
 
-/// Append one trace's spans to a JSONL dump, renumbering ids from
-/// `*next_id` (trace-local parents become global ids).
-fn push_trace_jsonl(out: &mut String, buf: &TraceBuf, tracks: &[String], next_id: &mut usize) {
+/// A span as the exporters write it: track resolved to its name, times
+/// in sim-milliseconds, and `parent` a 1-based index into the span's own
+/// group (its trace in sampled and flight dumps, the whole buffer in full
+/// mode; 0 = root).
+struct SpanLine<'a> {
+    parent: u32,
+    track: &'a str,
+    name: &'a str,
+    start_ms: u64,
+    end_ms: Option<u64>,
+    attrs: &'a [(String, String)],
+}
+
+impl SpanRec {
+    fn line<'a>(&'a self, tracks: &'a [String]) -> SpanLine<'a> {
+        SpanLine {
+            parent: self.parent.0,
+            track: &tracks[self.track.0 as usize],
+            name: &self.name,
+            start_ms: self.start.as_millis(),
+            end_ms: self.end.map(|e| e.as_millis()),
+            attrs: &self.attrs,
+        }
+    }
+}
+
+impl FlightSpan {
+    fn line(&self) -> SpanLine<'_> {
+        SpanLine {
+            parent: self.parent,
+            track: &self.track,
+            name: &self.name,
+            start_ms: self.start_ms,
+            end_ms: self.end_ms,
+            attrs: &self.attrs,
+        }
+    }
+}
+
+/// Append one group of spans as JSONL `span` lines, numbering ids from
+/// `*next_id` and rebasing each group-local parent onto the same ids.
+fn push_spans_jsonl<'a>(
+    out: &mut String,
+    spans: impl Iterator<Item = SpanLine<'a>>,
+    next_id: &mut usize,
+) {
     let base = *next_id;
-    for (i, s) in buf.spans.iter().enumerate() {
+    for s in spans {
+        let parent = match s.parent {
+            0 => 0,
+            p => base + p as usize - 1,
+        };
         out.push_str(&format!(
-            "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"track\":{},\"name\":{}",
-            base + i,
-            if s.parent.is_none() {
-                0
-            } else {
-                base + s.parent.0 as usize - 1
-            },
-            json_str(&tracks[s.track.0 as usize]),
-            json_str(&s.name),
+            "{{\"type\":\"span\",\"id\":{next_id},\"parent\":{parent},\"track\":{},\"name\":{}",
+            json_str(s.track),
+            json_str(s.name),
         ));
-        out.push_str(&format!(",\"start_ms\":{}", s.start.as_millis()));
-        match s.end {
-            Some(end) => out.push_str(&format!(",\"end_ms\":{}", end.as_millis())),
+        out.push_str(&format!(",\"start_ms\":{}", s.start_ms));
+        match s.end_ms {
+            Some(end) => out.push_str(&format!(",\"end_ms\":{end}")),
             None => out.push_str(",\"end_ms\":null"),
         }
-        push_attrs(out, &s.attrs);
+        push_attrs(out, "attrs", s.attrs);
         out.push_str("}\n");
+        *next_id += 1;
     }
-    *next_id += buf.spans.len();
+}
+
+/// One Chrome `trace_event` complete event (`"ph":"X"`); an open span
+/// gets zero duration.
+fn chrome_span(s: &SpanLine, tid: usize) -> String {
+    let start_us = s.start_ms * 1000;
+    let dur_us = s.end_ms.map_or(0, |e| e.saturating_sub(s.start_ms) * 1000);
+    let mut ev = format!(
+        "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{start_us},\"dur\":{dur_us}",
+        json_str(s.name),
+    );
+    push_attrs(&mut ev, "args", s.attrs);
+    ev.push('}');
+    ev
+}
+
+/// A Chrome `trace_event` document: process 1 named `process`, one named
+/// thread per track (tid = index + 1), then `events`.
+fn chrome_document(process: &str, tracks: &[impl AsRef<str>], events: Vec<String>) -> String {
+    let mut out = format!(
+        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
+         {{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"name\":{}}}}}",
+        json_str(process)
+    );
+    for (i, t) in tracks.iter().enumerate() {
+        out.push_str(&format!(
+            ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
+             \"args\":{{\"name\":{}}}}}",
+            i + 1,
+            json_str(t.as_ref())
+        ));
+    }
+    for ev in events {
+        out.push_str(",\n");
+        out.push_str(&ev);
+    }
+    out.push_str("\n]}\n");
+    out
 }
 
 /// JSON-escape a string (quotes included in the output).
@@ -1695,8 +1460,9 @@ fn json_str(s: &str) -> String {
     out
 }
 
-fn push_attrs(out: &mut String, attrs: &[(String, String)]) {
-    out.push_str(",\"attrs\":{");
+/// Append `,"<key>":{...}` with the attributes as JSON string members.
+fn push_attrs(out: &mut String, key: &str, attrs: &[(String, String)]) {
+    out.push_str(&format!(",\"{key}\":{{"));
     for (i, (k, v)) in attrs.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -1737,37 +1503,12 @@ mod tests {
         let g = obs.gauge("x.level");
         g.add(5);
         g.add(-2);
-        let h = obs.histogram("x.depth", &[1.0, 2.0]);
-        h.record(0.5);
-        h.record(1.5);
-        h.record(9.0);
         assert_eq!(obs.counter_value("x.count"), Some(3));
         assert_eq!(obs.gauge_value("x.level"), Some(3));
         assert_eq!(
             obs.metrics_text(),
-            "counter x.count 3\n\
-             histogram x.depth count=3 sum=11.000 le_1=1 le_2=2 le_inf=3\n\
-             gauge x.level 3\n"
+            "counter x.count 3\ngauge x.level 3\n"
         );
-    }
-
-    #[test]
-    fn histogram_quantile_and_cumulative_view() {
-        let h = HistogramMetric::new(&[1.0, 2.0, 5.0]);
-        assert!(h.quantile(0.5).is_nan(), "empty histogram");
-        for x in [0.5, 0.7, 1.5, 1.6, 1.7, 4.0, 9.0] {
-            h.record(x);
-        }
-        assert_eq!(
-            h.cumulative_buckets(),
-            vec![(1.0, 2), (2.0, 5), (5.0, 6), (f64::INFINITY, 7)]
-        );
-        // Ranks (n=7): q=0 -> rank 0 (bucket <=1), q=0.5 -> rank 3
-        // (bucket <=2), q=1.0 -> rank 6 (overflow).
-        assert_eq!(h.quantile(0.0), 1.0);
-        assert_eq!(h.quantile(0.5), 2.0);
-        assert_eq!(h.quantile(0.8), 5.0);
-        assert_eq!(h.quantile(1.0), f64::INFINITY);
     }
 
     #[test]
@@ -2060,21 +1801,5 @@ mod tests {
         let next = obs.trace_root(tr, "order", "vm-2", t(10));
         assert_eq!(next.raw(), root.raw(), "LIFO slot reuse");
         assert!(obs.critical_path(next).is_none(), "sampled mode");
-    }
-
-    #[test]
-    fn windowed_counters_are_inert_until_enabled() {
-        let obs = Obs::disabled();
-        obs.window_mark("x", t(5));
-        assert!(obs.window_series("x").is_none());
-        obs.enable_windows(SimDuration::from_secs(60));
-        assert_eq!(obs.windows_width(), Some(SimDuration::from_secs(60)));
-        obs.window_mark("x", t(5));
-        obs.window_mark("x", t(61));
-        obs.window_mark("x", t(65));
-        let series = obs.window_series("x").unwrap();
-        assert_eq!(series.get(0), 1);
-        assert_eq!(series.get(1), 2);
-        assert_eq!(series.total(), 3);
     }
 }

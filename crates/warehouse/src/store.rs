@@ -7,7 +7,7 @@ use vmplants_classad::{compile, AdTable, AttrScope, BinOp, ClassAd, Expr, Value}
 use vmplants_cluster::files::{FileKind, StoreError};
 use vmplants_cluster::nfs::NfsServer;
 use vmplants_dag::{CompiledDag, ConfigDag, InternedLog, PerformedLog, SigInterner};
-use vmplants_simkit::obs::{Counter, Gauge, HistogramMetric, Obs};
+use vmplants_simkit::obs::{Counter, Gauge, Obs};
 use vmplants_simkit::SimDuration;
 use vmplants_virt::image::CONFIG_BYTES;
 use vmplants_virt::{ImageFiles, VmSpec};
@@ -116,7 +116,6 @@ pub struct Warehouse {
     lookups: Counter,
     hits: Counter,
     misses: Counter,
-    match_depth: HistogramMetric,
     /// Policy knobs (dedup, capacity budget, replication threshold).
     config: WarehouseConfig,
     /// Site-wide content-addressed chunk bookkeeping (dedup mode).
@@ -167,7 +166,6 @@ impl Warehouse {
             lookups: Counter::new(),
             hits: Counter::new(),
             misses: Counter::new(),
-            match_depth: HistogramMetric::new(&[0.0, 1.0, 2.0, 4.0, 8.0, 16.0]),
             config,
             chunk_store: ChunkStore::new(),
             plans: BTreeMap::new(),
@@ -198,8 +196,7 @@ impl Warehouse {
     }
 
     /// Register the matchmaking counters (`warehouse.lookups`, `.hits`,
-    /// `.misses`), the matched-prefix-depth histogram
-    /// (`warehouse.match_depth`), and the content-addressed-store metrics
+    /// `.misses`) and the content-addressed-store metrics
     /// (`warehouse.evictions`/`.rederives`/`.replications`,
     /// `warehouse.chunk_dedup_hits`/`.chunk_dedup_misses`, and the
     /// `warehouse.physical_bytes`/`.logical_bytes` footprint gauges) with
@@ -208,7 +205,6 @@ impl Warehouse {
         obs.register_counter("warehouse.lookups", &self.lookups);
         obs.register_counter("warehouse.hits", &self.hits);
         obs.register_counter("warehouse.misses", &self.misses);
-        obs.register_histogram("warehouse.match_depth", &self.match_depth);
         obs.register_counter("warehouse.evictions", &self.evictions);
         obs.register_counter("warehouse.rederives", &self.rederives);
         obs.register_counter("warehouse.replications", &self.replications);
@@ -463,7 +459,6 @@ impl Warehouse {
         match best {
             Some((img, matched)) => {
                 self.hits.inc();
-                self.match_depth.record(matched.score() as f64);
                 // Per-golden demand, driving the replication policy.
                 *self
                     .hit_counts

@@ -187,3 +187,24 @@ fn deeply_nested_frames_are_rejected_and_the_shop_keeps_serving() {
     assert_eq!(client.estimate(order("alice")).unwrap(), 0.0);
     shop.stop();
 }
+
+#[test]
+fn a_client_shutdown_frame_is_a_bad_request_and_the_shop_keeps_serving() {
+    use std::net::TcpStream;
+    use vmplants::live::{read_frame, write_frame};
+    use vmplants_plant::Response;
+
+    let shop = LiveShop::start(SiteConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(shop.addr()).unwrap();
+    write_frame(&mut stream, "<shutdown/>").unwrap();
+    let reply = read_frame(&mut stream).unwrap();
+    match Response::from_wire(&reply).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, "bad-request"),
+        other => panic!("expected error, got {other:?}"),
+    }
+
+    // Only the owning handle stops the service.
+    let client = ShopClient::connect(shop.addr());
+    assert_eq!(client.estimate(order("alice")).unwrap(), 0.0);
+    shop.stop();
+}
